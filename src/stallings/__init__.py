@@ -38,8 +38,6 @@ from .diagrams import (
 from .elements import (
     S_IDENTITY,
     SElement,
-    g_from_json,
-    g_to_json,
     g_to_s,
     gen_to_token,
     in_base_group,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from .complexes import (
@@ -44,6 +45,14 @@ from .words import egen_table, kernel_identity_report, one_ended_reduction_repor
 
 def _tokens(labels) -> str:
     return " ".join(gen_to_token(g) for g in labels)
+
+
+def _nonnegative_int(text: str) -> int:
+    """Argument type for sizes, radii and levels: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _parse_region(args) -> ForbiddenRegion:
@@ -136,14 +145,24 @@ def cmd_f2p(args):
 
 
 def _expression(args):
-    if args.expr is not None:
-        factors = []
-        for conj, rid, sign in json.loads(args.expr):
-            factors.append(ConjugateFactor(parse_gens(conj), int(rid), int(sign)))
-        return factors
-    import random
-
-    return random_expression(random.Random(args.seed), max_factors=args.max_factors)
+    """Factors from --expr, or a seeded random expression without it."""
+    if args.expr is None:
+        return random_expression(random.Random(args.seed), max_factors=args.max_factors)
+    data = json.loads(args.expr)
+    if not isinstance(data, list):
+        raise ValueError("--expr must be a JSON list of factors")
+    factors = []
+    for item in data:
+        if not (
+            isinstance(item, list)
+            and len(item) == 3
+            and isinstance(item[0], str)
+            and all(isinstance(x, int) for x in item[1:])
+        ):
+            raise ValueError(f"malformed factor {item!r}: need [conjugator, relator_id, sign]")
+        conj, rid, sign = item
+        factors.append(ConjugateFactor(parse_gens(conj), rid, sign))
+    return factors
 
 
 def cmd_diagram(args):
@@ -163,12 +182,9 @@ def cmd_reduce_demo(args):
             args.count, seed=args.seed, region=region, max_factors=args.max_factors
         )
         return report, bool(report["all_verified"])
-    factors = []
-    for conj, rid, sign in json.loads(args.expr):
-        factors.append(ConjugateFactor(parse_gens(conj), int(rid), int(sign)))
     start = s_from_word(args.start) if args.start else None
     report = run_reduce_demo(
-        factors,
+        _expression(args),
         start=start,
         region=region,
         budget=args.budget,
@@ -255,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", parents=[shared], help="BFS ball of a complex")
     p.add_argument("--complex", default="gamma_1")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_nonnegative_int, required=True)
     p.add_argument("--center", default="", help="center as a word (default identity)")
     p.set_defaults(handler=cmd_ball)
 
@@ -286,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", default="x", help="complex of the forbidden ball")
     p.add_argument("--center", action="append", default=[],
                    help="forbidden ball center (repeatable)")
-    p.add_argument("--radius", type=int, default=1, help="forbidden ball radius")
-    p.add_argument("--count", type=int, default=50, help="batch size")
+    p.add_argument("--radius", type=_nonnegative_int, default=1, help="forbidden ball radius")
+    p.add_argument("--count", type=_nonnegative_int, default=50, help="batch size")
     p.add_argument("--max-factors", type=int, default=4)
     p.set_defaults(handler=cmd_reduce_demo)
 
@@ -298,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", default="x", help="complex of the forbidden ball")
     p.add_argument("--center", action="append", default=[],
                    help="forbidden ball center (repeatable)")
-    p.add_argument("--radius", type=int, default=1, help="forbidden ball radius")
-    p.add_argument("--count", type=int, default=100, help="batch size")
+    p.add_argument("--radius", type=_nonnegative_int, default=1, help="forbidden ball radius")
+    p.add_argument("--count", type=_nonnegative_int, default=100, help="batch size")
     p.add_argument("--min-distance", type=int, default=3,
                    help="batch mode: vertex distance floor for sampled loops")
-    p.add_argument("--max-level", type=int, default=8,
+    p.add_argument("--max-level", type=_nonnegative_int, default=8,
                    help="largest stable-letter translation level to try")
     p.set_defaults(handler=cmd_pipeline)
 

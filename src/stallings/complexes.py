@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .elements import (
+    GEN_VALUES,
     SElement,
     S_IDENTITY,
+    distance_to_identity,
     in_base_group,
     in_kernel_subgroup,
     parse_gens,
+    s_invert,
     s_multiply,
-    s_to_g,
-    scan,
     step,
 )
 from .words import EGEN_COUNT, EGEN_WORDS, egen_id, word_is_over
@@ -97,13 +98,7 @@ class ComplexSpec:
     _values: tuple[SElement, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values: list[SElement] = []
-        seen: set[SElement] = set()
-        for gen in self.signed_gens():
-            value = scan((gen,))
-            if value not in seen:
-                seen.add(value)
-                values.append(value)
+        values = dict.fromkeys(GEN_VALUES[gen] for gen in self.signed_gens())
         object.__setattr__(self, "_values", tuple(values))
 
     def signed_gens(self) -> tuple[int, ...]:
@@ -188,11 +183,6 @@ def get_complex(name: str) -> ComplexSpec:
         raise ValueError(f"unknown complex {name!r}; choose from {sorted(COMPLEXES)}")
 
 
-def neighbors(spec: ComplexSpec, v: SElement) -> list[tuple[int, SElement]]:
-    """All edge slots at v: one entry per signed generator."""
-    return [(gen, step(v, gen)) for gen in spec.signed_gens()]
-
-
 # ---------------------------------------------------------------------------
 # searches
 # ---------------------------------------------------------------------------
@@ -248,8 +238,11 @@ def sphere_sizes(dist: dict[SElement, int]) -> list[int]:
 
 
 def distance_gamma1(x: SElement, y: SElement) -> int:
-    """Word metric on the base group: factor lengths of x^-1 y add."""
-    return (s_to_g(x).inverse() * s_to_g(y)).length()
+    """Word metric on the base group: the normal-form length of x^-1 y."""
+    for v in (x, y):
+        if not in_base_group(v):
+            raise ValueError(f"element is not in the base group: {v}")
+    return distance_to_identity(s_multiply(s_invert(x), y))
 
 
 def find_generator_path(

@@ -384,13 +384,6 @@ class BandDecomposition:
             out.append(depth)
         return out
 
-    def innermost_first(self) -> list[int]:
-        order = sorted(
-            range(len(self.bands)),
-            key=lambda i: self.bands[i].exit - self.bands[i].entry,
-        )
-        return order
-
 
 def extract_bands(dia: Diagram) -> BandDecomposition:
     """Pair boundary stable-letter edges through their square chains."""

@@ -7,8 +7,9 @@ is therefore a unique pair (k, tail) with k in K stored as a reduced word
 pair and tail a reduced word over {a, s}.
 
 Generators are signed integer ids as in `words`: letters 1..4, the stable
-letter 5, kernel generators 6..29.  `step` applies one signed generator to a
-normal form and is the primitive that graph searches are built on.
+letter 5, kernel generators 6..29.  `step` right-multiplies a normal form by
+a signed generator's value from the fixed table `GEN_VALUES`; it is the
+primitive that graph searches are built on.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .words import (
     EGEN_FIRST_ID,
     EGEN_VALUES,
     GElement,
-    G_IDENTITY,
     ID_LETTERS,
     LETTER_IDS,
     S_ID,
+    egen_id,
     egen_index,
     exponent_sum,
     g_from_word,
@@ -56,13 +57,13 @@ S_IDENTITY = SElement("", "", "")
 
 def validate_s(x: SElement) -> SElement:
     """Check the normal-form invariants; returns x for chaining."""
-    if not (is_reduced(x.ab) and word_is_over(x.ab, "abAB")):
+    if not (word_is_over(x.ab, "abAB") and is_reduced(x.ab)):
         raise ValueError(f"bad ab part: {x.ab!r}")
-    if not (is_reduced(x.cd) and word_is_over(x.cd, "cdCD")):
+    if not (word_is_over(x.cd, "cdCD") and is_reduced(x.cd)):
         raise ValueError(f"bad cd part: {x.cd!r}")
     if exponent_sum(x.ab) + exponent_sum(x.cd) != 0:
         raise ValueError(f"k part is outside the kernel: {x.ab!r}, {x.cd!r}")
-    if not (is_reduced(x.tail) and word_is_over(x.tail, TAIL_LETTERS)):
+    if not (word_is_over(x.tail, TAIL_LETTERS) and is_reduced(x.tail)):
         raise ValueError(f"bad tail: {x.tail!r}")
     return x
 
@@ -92,6 +93,19 @@ def in_kernel_subgroup(x: SElement) -> bool:
     return x.tail == ""
 
 
+def g_to_s(g: GElement) -> SElement:
+    """Embed the direct product: split off the a-power carried by es(g)."""
+    m = g.exponent_sum()
+    k = g * GElement(a_power(-m), "")
+    return SElement(k.ab, k.cd, a_power(m))
+
+
+def s_to_g(x: SElement) -> GElement:
+    if not in_base_group(x):
+        raise ValueError(f"element is not in the base group: {x}")
+    return GElement(x.ab, x.cd) * GElement(x.tail, "")
+
+
 # ---------------------------------------------------------------------------
 # group operations
 # ---------------------------------------------------------------------------
@@ -116,37 +130,37 @@ def s_invert(x: SElement) -> SElement:
     )
 
 
-def step(x: SElement, gen: int) -> SElement:
-    """Right-multiply a normal form by one signed generator.
+def distance_to_identity(v: SElement) -> int:
+    """Length of a normal form: the word-metric distance from the identity.
 
-    A letter g in {a,b,c,d}^+- factors as (g a^-e) a^e with e its sign; the
-    kernel half is pulled through the tail by conjugation and the a^e joins
-    the tail.  The stable letter only extends the tail.  A kernel generator
-    is pulled through the tail whole.
+    The first-factor part and the tail share the letter a, so they merge
+    before counting.  Exact on base-group vertices; elsewhere it is a
+    word-length bound.
     """
-    if gen == 0:
-        raise ValueError("generator id 0 is not signed")
-    base = abs(gen)
-    if base == S_ID:
-        return SElement(x.ab, x.cd, reduce_mul(x.tail, "s" if gen > 0 else "S"))
-    if base < S_ID:
-        letter = ID_LETTERS[base] if gen > 0 else ID_LETTERS[base].upper()
-        if base == LETTER_IDS["a"]:
-            # the kernel half (g a^-e) is trivial for the letter a
-            return SElement(x.ab, x.cd, reduce_mul(x.tail, letter))
-        offset = "A" if gen > 0 else "a"
-        kernel_half = g_from_word(letter + offset)
-        tail_letter = "a" if gen > 0 else "A"
-    else:
-        value = EGEN_VALUES[egen_index(base) - 1]
-        kernel_half = value if gen > 0 else value.inverse()
-        tail_letter = ""
-    m = a_exponent(x.tail)
-    return SElement(
-        reduce_mul(x.ab, conjugate_ab(kernel_half.ab, m)),
-        reduce_mul(x.cd, kernel_half.cd),
-        reduce_mul(x.tail, tail_letter) if tail_letter else x.tail,
-    )
+    return len(reduce_mul(v.ab, v.tail)) + len(v.cd)
+
+
+def _build_gen_values() -> dict[int, SElement]:
+    table = {S_ID: SElement("", "", "s"), -S_ID: SElement("", "", "S")}
+    values = [(LETTER_IDS[ch], g_from_word(ch)) for ch in "abcd"]
+    values += [(egen_id(i), EGEN_VALUES[i - 1]) for i in range(1, EGEN_COUNT + 1)]
+    for gen, value in values:
+        table[gen] = g_to_s(value)
+        table[-gen] = g_to_s(value.inverse())
+    return table
+
+
+# GEN_VALUES[gen] is the normal form of the signed generator gen (58 entries).
+GEN_VALUES: dict[int, SElement] = _build_gen_values()
+
+
+def step(x: SElement, gen: int) -> SElement:
+    """Right-multiply a normal form by one signed generator."""
+    try:
+        value = GEN_VALUES[gen]
+    except KeyError:
+        raise ValueError(f"unknown generator id: {gen}") from None
+    return s_multiply(x, value)
 
 
 # ---------------------------------------------------------------------------
@@ -207,35 +221,18 @@ def s_from_word(word: str) -> SElement:
     return scan(parse_gens(word))
 
 
-def g_to_s(g: GElement) -> SElement:
-    """Embed the direct product: split off the a-power carried by es(g)."""
-    m = g.exponent_sum()
-    k = g * GElement(a_power(-m), "")
-    return SElement(k.ab, k.cd, a_power(m))
-
-
-def s_to_g(x: SElement) -> GElement:
-    if not in_base_group(x):
-        raise ValueError(f"element is not in the base group: {x}")
-    return GElement(x.ab, x.cd) * GElement(x.tail, "")
-
-
 # ---------------------------------------------------------------------------
 # JSON forms
 # ---------------------------------------------------------------------------
-
-def g_to_json(g: GElement) -> dict[str, str]:
-    return {"ab": g.ab, "cd": g.cd}
-
-
-def g_from_json(data: dict[str, str]) -> GElement:
-    return GElement(data["ab"], data["cd"])
-
 
 def s_to_json(x: SElement) -> dict[str, object]:
     return {"k": {"ab": x.ab, "cd": x.cd}, "tail": x.tail}
 
 
 def s_from_json(data: dict[str, object]) -> SElement:
-    k = data["k"]
-    return validate_s(SElement(k["ab"], k["cd"], data["tail"]))  # type: ignore[index]
+    if not (isinstance(data, dict) and isinstance(data.get("k"), dict)):
+        raise ValueError(f"malformed normal form: {data!r}")
+    parts = (data["k"].get("ab"), data["k"].get("cd"), data.get("tail"))
+    if not all(isinstance(p, str) for p in parts):
+        raise ValueError(f"malformed normal form: {data!r}")
+    return validate_s(SElement(*parts))

@@ -42,7 +42,15 @@ from .elements import (
     step,
     token_to_gen,
 )
-from .words import EGEN_WORDS, WORD_TO_EGEN, egen_id, egen_index, invert_word
+from .words import (
+    EGEN_FIRST_ID,
+    EGEN_WORDS,
+    S_ID,
+    WORD_TO_EGEN,
+    egen_id,
+    egen_index,
+    invert_word,
+)
 
 Move = tuple
 Labels = tuple[int, ...]
@@ -237,14 +245,27 @@ def _move_to_json(move: Move) -> list:
     return list(move)
 
 
+MOVE_ARITY = {"ins": 3, "del": 2, "cell": 6}
+
+
 def _move_from_json(data: Sequence) -> Move:
-    if data[0] == "ins":
-        return ("ins", int(data[1]), token_to_gen(data[2]))
-    if data[0] == "del":
-        return ("del", int(data[1]))
-    if data[0] == "cell":
-        return ("cell",) + tuple(int(x) for x in data[1:])
-    raise ValueError(f"unknown move kind {data[0]!r}")
+    kind = data[0] if isinstance(data, list) and data else None
+    if not (isinstance(kind, str) and len(data) == MOVE_ARITY.get(kind)):
+        raise ValueError(f"malformed move {data!r}")
+    args = data[1:]
+    types = (int, str) if kind == "ins" else (int,) * len(args)
+    if not all(isinstance(x, t) for x, t in zip(args, types)):
+        raise ValueError(f"malformed move {data!r}")
+    if kind == "ins":
+        return ("ins", int(args[0]), token_to_gen(args[1]))
+    return (kind, *(int(x) for x in args))
+
+
+def _json_list(data: dict, key: str, item_type: type) -> list:
+    value = data.get(key)
+    if not (isinstance(value, list) and all(isinstance(x, item_type) for x in value)):
+        raise ValueError(f"certificate field {key!r} must be a list of {item_type.__name__}")
+    return value
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -260,14 +281,19 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> Certificate:
+    """Parse a certificate, checking its shape; raises ValueError if malformed."""
+    if not isinstance(data, dict):
+        raise ValueError("a certificate must be a JSON object")
     if data.get("schema") != CERTIFICATE_SCHEMA:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
+    if not isinstance(data.get("complex"), str):
+        raise ValueError("certificate field 'complex' must be a string")
     return Certificate(
         complex_name=data["complex"],
-        start=s_from_json(data["start"]),
-        path=tuple(token_to_gen(t) for t in data["path"]),
-        moves=tuple(_move_from_json(m) for m in data["moves"]),
-        result=tuple(token_to_gen(t) for t in data["result"]),
+        start=s_from_json(data.get("start")),
+        path=tuple(token_to_gen(t) for t in _json_list(data, "path", str)),
+        moves=tuple(_move_from_json(m) for m in _json_list(data, "moves", list)),
+        result=tuple(token_to_gen(t) for t in _json_list(data, "result", str)),
         description=data.get("description", ""),
     )
 
@@ -403,17 +429,19 @@ def convert_letter_pairs(editor: PathEditor, pos: int, pair_count: int) -> int:
 
 
 def expand_kernel_generators(editor: PathEditor, pos: int, count: int) -> int:
-    """Expand kernel-generator labels into their two-letter words.
+    """Expand the kernel-generator labels among `count` labels at pos.
 
-    Returns the length of the produced segment (2 per label).
+    Each kernel-generator label becomes its two-letter word; other labels
+    are left in place.  Returns the length of the produced segment.
     """
     cursor = pos
     for _ in range(count):
         gen = editor.labels[cursor]
-        index = egen_index(gen)
-        word = EGEN_WORDS[index - 1]
-        letters = parse_gens(word if gen > 0 else invert_word(word))
-        editor.replace(cursor, 1, letters)
+        if abs(gen) < EGEN_FIRST_ID:
+            cursor += 1
+            continue
+        word = EGEN_WORDS[egen_index(gen) - 1]
+        editor.replace(cursor, 1, parse_gens(word if gen > 0 else invert_word(word)))
         cursor += 2
     return cursor - pos
 
@@ -425,10 +453,8 @@ def conjugate_by_stable(editor: PathEditor, pos: int, length: int, sign: int = 1
     `length` square swaps slide the inverse stable letter across it, leaving
     (s^sign, segment, s^-sign).
     """
-    gen = 5 if sign > 0 else -5
-    editor.insert_backtrack(pos, gen)
-    for i in range(pos + 1, pos + 1 + length):
-        swap_adjacent(editor, i)
+    editor.insert_backtrack(pos, S_ID if sign > 0 else -S_ID)
+    commute_block(editor, pos + 1, 1, length)
 
 
 def stack_stable_conjugations(editor: PathEditor, pos: int, length: int, levels: int) -> None:
@@ -471,43 +497,7 @@ def contract_product_loop(editor: PathEditor, pos: int, length: int) -> None:
 
 
 def contract_kernel_generator_loop(editor: PathEditor, pos: int, count: int) -> None:
-    """Null-homotope a closed loop of kernel-generator labels in place."""
+    """Null-homotope a closed stable-free loop of letters and kernel labels."""
     produced = expand_kernel_generators(editor, pos, count)
     contract_product_loop(editor, pos, produced)
 
-
-# ---------------------------------------------------------------------------
-# relabelling along letter symmetries
-# ---------------------------------------------------------------------------
-
-def relabel_certificate(
-    cert: Certificate, gen_map: Callable[[int], int], vertex_map: Callable[[SElement], SElement]
-) -> Certificate:
-    """Transport a letter-path certificate along a generator symmetry.
-
-    gen_map must be induced by a group automorphism that permutes the
-    signed letter generators and preserves the available 2-cells; cell
-    moves are re-derived by searching for the mapped relator word.
-    """
-    spec = get_complex(cert.complex_name)
-    new_moves: list[Move] = []
-    for move in cert.moves:
-        if move[0] == "ins":
-            _, pos, gen = move
-            new_moves.append(("ins", pos, gen_map(gen)))
-        elif move[0] == "del":
-            new_moves.append(move)
-        else:
-            _, pos, rid, inv, rot, split = move
-            relator = relator_form(rid, inv, rot)
-            seg = tuple(gen_map(g) for g in relator[:split])
-            rep = tuple(gen_map(g) for g in inverse_path(relator[split:]))
-            new_moves.append(find_cell_move(spec, pos, seg, rep))
-    return Certificate(
-        complex_name=cert.complex_name,
-        start=vertex_map(cert.start),
-        path=tuple(gen_map(g) for g in cert.path),
-        moves=tuple(new_moves),
-        result=tuple(gen_map(g) for g in cert.result),
-        description=cert.description,
-    )

@@ -42,6 +42,7 @@ from .diagrams import ConjugateFactor, build_diagram, extract_bands, random_expr
 from .elements import (
     S_IDENTITY,
     SElement,
+    distance_to_identity,
     gen_to_token,
     in_base_group,
     in_kernel_subgroup,
@@ -56,16 +57,14 @@ from .homotopy import (
     CertificateError,
     PathEditor,
     certificate_to_json,
+    commute_block,
     contract_kernel_generator_loop,
-    contract_product_loop,
     convert_letter_pairs,
-    expand_kernel_generators,
     stack_stable_conjugations,
-    swap_adjacent,
     verify_certificate,
 )
 from .rewrite import rewrite_to_kernel_path
-from .words import EGEN_FIRST_ID, S_ID, reduce_mul
+from .words import S_ID
 
 X_COMPLEX = get_complex("x")
 GAMMA_K = get_complex("gamma_k")
@@ -126,17 +125,6 @@ def emit(report, fmt: str = "json") -> str:
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def component_distance(u: SElement, v: SElement) -> int:
-    """Sum of the normal-form component lengths of u^-1 v.
-
-    The first-factor part and the tail share the letter a, so they merge
-    before counting.  Agrees with the product metric on base-group
-    vertices; elsewhere it is a word-length bound used only for reporting.
-    """
-    d = s_multiply(s_invert(u), v)
-    return len(reduce_mul(d.ab, d.tail)) + len(d.cd)
-
-
 def far_basepoint(distance: int) -> SElement:
     """A fixed base-group vertex at the given distance from the identity."""
     return scan(tuple((1, 2)[i % 2] for i in range(distance)))
@@ -165,7 +153,10 @@ def _loop_vertices(start: SElement, labels: Sequence[int]) -> list[SElement]:
 def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) -> int:
     """Farthest any swept vertex strays from the input loop's vertex set."""
     anchors = list(dict.fromkeys(loop_verts))
-    return max(min(component_distance(w, v) for v in anchors) for w in swept)
+    return max(
+        min(distance_to_identity(s_multiply(w_inv, v)) for v in anchors)
+        for w_inv in map(s_invert, swept)
+    )
 
 
 def compose_certificates(
@@ -189,32 +180,6 @@ def compose_certificates(
 # ---------------------------------------------------------------------------
 # mixed-segment surgery
 # ---------------------------------------------------------------------------
-
-def _expand_kernel_labels(editor: PathEditor, pos: int, count: int) -> int:
-    """Expand each kernel-generator label in a mixed stable-free segment."""
-    i = pos
-    end = pos + count
-    while i < end:
-        if abs(editor.labels[i]) >= EGEN_FIRST_ID:
-            expand_kernel_generators(editor, i, 1)
-            i += 2
-            end += 1
-        else:
-            i += 1
-    return end - pos
-
-
-def contract_trivial_loop(editor: PathEditor, pos: int, count: int) -> None:
-    """Null-homotope a closed stable-free subpath of letters and kernel labels."""
-    produced = _expand_kernel_labels(editor, pos, count)
-    contract_product_loop(editor, pos, produced)
-
-
-def _slide_stable_across(editor: PathEditor, pos: int, count: int) -> None:
-    """Move the stable letter at pos rightward across kernel-generator labels."""
-    for i in range(pos, pos + count):
-        swap_adjacent(editor, i)
-
 
 def _innermost_stable_pair(editor: PathEditor) -> tuple[int, int] | None:
     """An inverse pair of stable letters whose stable-free interior pinches.
@@ -392,12 +357,12 @@ def run_reduce_demo(
         if delta is None:
             raise CertificateError("the dilated region separates the band endpoints")
         editor.insert_round_trip(i + 1, delta)
-        contract_trivial_loop(editor, i + 1 + len(delta), len(delta) + (j - i - 1))
-        _slide_stable_across(editor, i, len(delta))
+        contract_kernel_generator_loop(editor, i + 1 + len(delta), len(delta) + (j - i - 1))
+        commute_block(editor, i, 1, len(delta))
         editor.delete_backtrack(i + len(delta))
         detour_lengths.append(len(delta))
     if editor.labels:
-        contract_trivial_loop(editor, 0, len(editor))
+        contract_kernel_generator_loop(editor, 0, len(editor))
 
     cert = editor.certificate("eliminate bands, then contract the residue")
     assert cert.result == ()

@@ -31,9 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import ForbiddenRegion, get_complex
-from .elements import S_IDENTITY, SElement, s_from_word, s_to_g, scan, step
+from .elements import (
+    S_IDENTITY,
+    SElement,
+    distance_to_identity,
+    s_from_word,
+    s_to_g,
+    step,
+)
 from .homotopy import Certificate, PathEditor, interleave_blocks, verify_certificate
-from .words import reduce_mul
 
 GAMMA_1 = get_complex("gamma_1")
 
@@ -61,11 +67,6 @@ def split_syllables(labels: tuple[int, ...]) -> list[tuple[str, int, int]]:
         else:
             out.append((factor, sign, 1))
     return out
-
-
-def distance_to_identity(v: SElement) -> int:
-    """Word-metric distance of a base-group vertex from the identity."""
-    return len(reduce_mul(v.ab, v.tail)) + len(v.cd)
 
 
 def moves_geodesically_away(v: SElement, gen: int) -> bool:
@@ -109,7 +110,7 @@ class RewriteReport:
     fallback_partner_used: bool
     pair_count: int
     min_original_distance: int
-    min_swept_distance: int
+    min_swept_distance: int | None
     verified: bool = True
     syllable_counts: list[int] = field(default_factory=list)
 
@@ -204,7 +205,7 @@ def rewrite_to_kernel_path(
     Returns a report whose certificate transforms the input path into one
     where every consecutive letter pair has opposite signs.  `check`
     re-verifies the certificate and the away-from-identity guarantee,
-    against `forbidden` when given.
+    against `forbidden` when given; a failed check clears `verified`.
     """
     if any(abs(g) not in (1, 2, 3, 4) for g in labels):
         raise ValueError("rewriting applies to letter paths only")
@@ -213,12 +214,11 @@ def rewrite_to_kernel_path(
     editor = PathEditor(GAMMA_1, start, labels)
     rewriter = _Rewriter(editor)
     trace = rewriter.run(0)
-    assert is_kernel_form(editor.labels)
     cert = editor.certificate(description)
 
     original = [start]
     for gen in labels:
-        original.append(scan((gen,), start=original[-1]))
+        original.append(step(original[-1], gen))
     min_original = min(distance_to_identity(v) for v in original)
     report = RewriteReport(
         certificate=cert,
@@ -227,18 +227,15 @@ def rewrite_to_kernel_path(
         pair_count=len(cert.result) // 2,
         min_original_distance=min_original,
         min_swept_distance=min_original,
+        verified=is_kernel_form(cert.result),
         syllable_counts=trace,
     )
-    if check:
+    if check and report.verified:
         res = verify_certificate(cert, forbidden)
-        report.verified = res.ok
-        assert res.ok, res.reason
-        report.min_swept_distance = min(
-            distance_to_identity(v) for v in res.swept
-        )
-        assert report.min_swept_distance >= min_original, (
-            "rewriting moved toward the identity"
-        )
+        # a rejected certificate sweeps nothing; a verified rewriting never
+        # moves toward the identity
+        report.min_swept_distance = min(map(distance_to_identity, res.swept), default=None)
+        report.verified = res.ok and report.min_swept_distance >= min_original
     return report
 
 

@@ -12,10 +12,8 @@ generators are 6..29; negation is inversion.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-AB_LETTERS = "abAB"
-CD_LETTERS = "cdCD"
 GROUP_LETTERS = "abcdABCD"
 S_WORD_LETTERS = GROUP_LETTERS + "sS"
 
@@ -128,13 +126,6 @@ EGEN_COUNT = len(EGEN_WORDS)
 WORD_TO_EGEN = {w: i + 1 for i, w in enumerate(EGEN_WORDS)}
 EGEN_VALUES: tuple[GElement, ...] = tuple(g_from_word(w) for w in EGEN_WORDS)
 
-# The classical six-element generating set of the kernel, as table indices.
-# These are the kernel generators that the stable letter commutes with in the
-# short presentation; kept as a distinguished subset of the full table.
-S_COMMUTATION_GENERATORS: tuple[int, ...] = tuple(
-    WORD_TO_EGEN[w] for w in ("bA", "cA", "dA", "cB", "dB", "dC")
-)
-
 
 def egen_id(index: int) -> int:
     """Generator id (for paths/relators) of table entry `index` (1-based)."""
@@ -158,56 +149,6 @@ def egen_table() -> list[dict[str, str | int]]:
         value = EGEN_VALUES[i - 1]
         rows.append({"index": i, "word": word, "ab": value.ab, "cd": value.cd})
     return rows
-
-
-# ---------------------------------------------------------------------------
-# kernel paths: pairing letters into generators and expanding back
-# ---------------------------------------------------------------------------
-
-def is_kernel_path(labels: str) -> bool:
-    """Even-length word whose consecutive letter pairs have opposite signs.
-
-    Each non-overlapping pair (2i, 2i+1) then spells either a two-letter
-    kernel generator or a backtrack (x, x^-1).
-    """
-    if len(labels) % 2:
-        return False
-    if not word_is_over(labels, GROUP_LETTERS):
-        return False
-    for i in range(0, len(labels), 2):
-        if labels[i].islower() == labels[i + 1].islower():
-            return False
-    return True
-
-
-def k_pair(labels: str) -> tuple[int, ...]:
-    """Pair the letters of a kernel path into generator table indices.
-
-    The table is inverse-closed, so every opposite-sign pair over distinct
-    bases is itself a table word.  Degenerate pairs (x, x^-1) are backtracks,
-    not generators, and are rejected.
-    """
-    if not is_kernel_path(labels):
-        raise ValueError(f"not a kernel path: {labels!r}")
-    out: list[int] = []
-    for i in range(0, len(labels), 2):
-        pair = labels[i : i + 2]
-        idx = WORD_TO_EGEN.get(pair)
-        if idx is None:
-            raise ValueError(f"letter pair is not a generator: {pair!r}")
-        out.append(idx)
-    return tuple(out)
-
-
-def e_expand(indices: Iterable[int]) -> str:
-    """Expand signed table indices back into their two-letter words."""
-    out: list[str] = []
-    for idx in indices:
-        if idx == 0:
-            raise ValueError("generator index 0 is not signed")
-        word = EGEN_WORDS[abs(idx) - 1]
-        out.append(word if idx > 0 else invert_word(word))
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

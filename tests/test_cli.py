@@ -6,10 +6,27 @@ report shapes.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from stallings.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# a valid certificate: the path a c with no moves
+VALID_CERT = {
+    "schema": "homotopy-certificate/1",
+    "complex": "gamma_1",
+    "start": {"k": {"ab": "", "cd": ""}, "tail": ""},
+    "path": ["a", "c"],
+    "moves": [],
+    "result": ["a", "c"],
+    "description": "",
+}
 
 
 def run_cli(capsys, *argv):
@@ -228,3 +245,57 @@ def test_reports_are_byte_stable(capsys):
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_f2p_path_into_forbidden_ball_reports_failure(capsys):
+    code, data = run_json(capsys, "f2p", "--base", "", "--word", "acAC", "--m", "2")
+    assert code == 1
+    assert data["verified"] is False
+    assert data["min_swept_distance"] is None
+
+
+def test_f2p_failure_is_the_same_under_optimize():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "stallings", "f2p", "--base", "", "--word", "acAC",
+         "--m", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["verified"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("diagram", "bands", "--expr", "[1]"), "malformed factor",
+                     id="diagram-malformed-factor"),
+        pytest.param(("reduce-demo", "--expr", "[1]"), "malformed factor",
+                     id="reduce-demo-malformed-factor"),
+        pytest.param(("pipeline", "--base", "aaa", "--word", "acAC", "--max-level", "-1"),
+                     "must be nonnegative", id="pipeline-negative-max-level"),
+        pytest.param(("reduce-demo", "--count", "-1"), "must be nonnegative",
+                     id="reduce-demo-negative-count"),
+        pytest.param(("ball", "--radius", "-1"), "must be nonnegative",
+                     id="ball-negative-radius"),
+        pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
+        pytest.param(("verify-cert", {"moves": [["ins", 0]]}), "malformed move",
+                     id="cert-truncated-move"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
+    if isinstance(argv[-1], dict):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps({**VALID_CERT, **argv[-1]}))
+        argv = (*argv[:-1], str(cert_file))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the value at parse time
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err

@@ -13,13 +13,12 @@ from stallings.complexes import (
     distance_gamma1,
     get_complex,
     neighborhood,
-    neighbors,
     sphere_complement_components,
     sphere_sizes,
     square_rel_id,
     triangle_rel_id,
 )
-from stallings.elements import S_IDENTITY, s_from_word, scan
+from stallings.elements import S_IDENTITY, s_from_word, s_multiply, scan, step
 
 
 def test_relator_table_shape():
@@ -57,10 +56,14 @@ def test_registry_and_generator_counts():
 
 
 def test_neighbor_slots():
+    # one edge slot per signed generator; the slots reach exactly the
+    # vertices that BFS reaches through the distinct stepping values
     v = s_from_word("aB")
-    assert len(neighbors(get_complex("gamma_1"), v)) == 8
-    assert len(neighbors(get_complex("gamma_k"), v)) == 48
-    assert len(neighbors(get_complex("x"), v)) == 58
+    for name, slots in (("gamma_1", 8), ("gamma_k", 48), ("x", 58)):
+        spec = get_complex(name)
+        assert len(spec.signed_gens()) == slots
+        reached = {step(v, gen) for gen in spec.signed_gens()}
+        assert reached == {s_multiply(v, value) for value in spec.step_values()}
 
 
 def test_ball_sphere_sizes():

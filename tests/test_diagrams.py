@@ -46,7 +46,6 @@ def test_nested_bands():
     assert decomposition.bands[1].side == (6,)
     assert decomposition.parent == [-1, 0]
     assert decomposition.depths() == [0, 1]
-    assert decomposition.innermost_first() == [1, 0]
 
 
 def test_mirror_pair_collapses():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from stallings.elements import (
+    GEN_VALUES,
     SElement,
     S_IDENTITY,
     a_exponent,
@@ -26,6 +27,7 @@ from stallings.elements import (
 from stallings.words import (
     EGEN_WORDS,
     GElement,
+    ID_LETTERS,
     egen_id,
     g_from_word,
     invert_word,
@@ -113,6 +115,30 @@ def test_step_agrees_with_word_scan():
         seq = [rng.choice(gens) for _ in range(rng.randrange(0, 12))]
         word = "".join(gen_to_token(g) for g in seq)
         assert scan(seq) == s_from_word(word)
+
+
+def test_step_against_group_arithmetic():
+    """`step` is a table lookup plus `s_multiply`; check it independently.
+
+    Every signed generator is undone by its negation, and on base-group
+    vertices a letter step agrees with multiplication in the direct
+    product, computed by `GElement` arithmetic.
+    """
+    rng = random.Random(43)
+    signed = [g for gen in range(1, 30) for g in (gen, -gen)]
+    assert sorted(GEN_VALUES) == sorted(signed)
+    for _ in range(100):
+        x = s_from_word(_random_word(rng, rng.randrange(0, 10)))
+        base_x = s_from_word(_random_word(rng, rng.randrange(0, 10), letters="abcdABCD"))
+        for gen in signed:
+            assert step(step(x, gen), -gen) == x
+            if abs(gen) < 5:
+                letter = ID_LETTERS[abs(gen)]
+                letter = letter if gen > 0 else letter.upper()
+                assert s_to_g(step(base_x, gen)) == s_to_g(base_x) * g_from_word(letter)
+    for bad in (0, 30, -30):
+        with pytest.raises(ValueError):
+            step(S_IDENTITY, bad)
 
 
 def test_projection_to_base_group():

@@ -6,10 +6,8 @@ from oracles import replay_certificate
 from stallings.complexes import get_complex
 from stallings.elements import (
     S_IDENTITY,
-    g_to_s,
     parse_gens,
     s_from_word,
-    s_to_g,
     scan,
 )
 from stallings.homotopy import (
@@ -28,12 +26,11 @@ from stallings.homotopy import (
     find_cell_move,
     interleave_blocks,
     inverse_path,
-    relabel_certificate,
     stack_stable_conjugations,
     swap_adjacent,
     verify_certificate,
 )
-from stallings.words import GElement, egen_id
+from stallings.words import WORD_TO_EGEN, egen_id
 
 GAMMA1 = get_complex("gamma_1")
 GAMMA2 = get_complex("gamma_2")
@@ -167,6 +164,14 @@ def test_expand_kernel_generators():
     assert verify_certificate(ed.certificate()).ok
 
 
+def test_expand_kernel_generators_skips_letters():
+    ed = PathEditor(GAMMA2, S_IDENTITY, (1, egen_id(1), -3))
+    produced = expand_kernel_generators(ed, 0, 3)
+    assert produced == 4
+    assert ed.labels == (1,) + tuple(parse_gens("aB")) + (-3,)
+    assert verify_certificate(ed.certificate()).ok
+
+
 def test_expand_then_convert_is_identity():
     rng = random.Random(5)
     for _ in range(50):
@@ -258,6 +263,15 @@ def test_contract_kernel_generator_loop():
     assert verify_certificate(ed.certificate()).ok
 
 
+def test_contract_mixed_letter_and_kernel_loop():
+    # (b a^-1) a b^-1 is a closed loop mixing a kernel label with letters
+    loop = (egen_id(WORD_TO_EGEN["bA"]), 1, -2)
+    ed = PathEditor(GAMMA2, s_from_word("cd"), loop)
+    contract_kernel_generator_loop(ed, 0, 3)
+    assert ed.labels == ()
+    assert verify_certificate(ed.certificate()).ok
+
+
 def _random_editor(rng):
     """Random certificate built from the block constructors in gamma_2."""
     k = rng.randrange(1, 4)
@@ -298,40 +312,31 @@ def test_certificate_json_roundtrip():
         certificate_from_json({**data, "schema": "bogus/9"})
 
 
-def _invert_letters_vertex(v):
-    g = s_to_g(v)
-    return g_to_s(GElement(g.ab.swapcase(), g.cd.swapcase()))
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"path": 5},
+        {"path": [5]},
+        {"result": None},
+        {"moves": 3},
+        {"moves": [["ins", 0]]},
+        {"moves": [["ins", "0", "a"]]},
+        {"moves": [["del"]]},
+        {"moves": [["cell", 0, 1, 0, 0]]},
+        {"moves": [["cell", 0, "x", 0, 0, 1]]},
+        {"moves": [["bogus", 0]]},
+        {"moves": [[]]},
+        {"start": {"k": 3, "tail": ""}},
+        {"start": None},
+        {"complex": ["x"]},
+    ],
+)
+def test_certificate_from_json_rejects_malformed_shapes(patch):
+    data = certificate_to_json(PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac")).certificate())
+    with pytest.raises(ValueError):
+        certificate_from_json({**data, **patch})
 
 
-def _swap_factors_vertex(v):
-    g = s_to_g(v)
-    to_ab = str.maketrans("cdCD", "abAB")
-    to_cd = str.maketrans("abAB", "cdCD")
-    return g_to_s(GElement(g.cd.translate(to_ab), g.ab.translate(to_cd)))
-
-
-_SWAP_FACTORS_GEN = {1: 3, 2: 4, 3: 1, 4: 2}
-
-
-def test_relabel_along_letter_inversion():
-    ed = PathEditor(GAMMA1, s_from_word("ab"), parse_gens("acdB"))
-    commute_block(ed, 1, 2, 1)
-    cert = ed.certificate()
-    mapped = relabel_certificate(cert, lambda g: -g, _invert_letters_vertex)
-    res = verify_certificate(mapped)
-    assert res.ok
-    assert mapped.start == s_from_word("AB")
-    assert mapped.path == tuple(parse_gens("ACDb"))
-    assert res.end == _invert_letters_vertex(verify_certificate(cert).end)
-
-
-def test_relabel_along_factor_swap():
-    ed = PathEditor(GAMMA1, s_from_word("cd"), parse_gens("acdB"))
-    commute_block(ed, 1, 2, 1)
-    cert = ed.certificate()
-    gen_map = lambda g: (1 if g > 0 else -1) * _SWAP_FACTORS_GEN[abs(g)]  # noqa: E731
-    mapped = relabel_certificate(cert, gen_map, _swap_factors_vertex)
-    res = verify_certificate(mapped)
-    assert res.ok
-    assert mapped.path == tuple(parse_gens("cabD"))
-    assert res.end == _swap_factors_vertex(verify_certificate(cert).end)
+def test_certificate_from_json_rejects_non_objects():
+    with pytest.raises(ValueError):
+        certificate_from_json([1, 2])

@@ -11,13 +11,19 @@ from stallings.complexes import (
     get_complex,
     square_rel_id,
 )
-from stallings.elements import S_IDENTITY, s_from_word, scan
+from stallings.elements import (
+    S_IDENTITY,
+    distance_to_identity,
+    s_from_word,
+    s_invert,
+    s_multiply,
+    scan,
+)
 from stallings.homotopy import Certificate, CertificateError, verify_certificate
 from stallings.pipeline import (
     PipelineReport,
     base_exclusion_radius,
     combing_radius,
-    component_distance,
     compose_certificates,
     emit,
     far_basepoint,
@@ -38,9 +44,10 @@ def commutator(u, v):
 
 
 def test_component_distance_and_basepoint():
-    assert component_distance(scan((1, 3)), scan((1, 3))) == 0
-    assert component_distance(S_IDENTITY, scan((1, 3))) == 2
-    assert component_distance(S_IDENTITY, scan((5, 5))) == 2
+    x = scan((1, 3))
+    assert distance_to_identity(s_multiply(s_invert(x), x)) == 0
+    assert distance_to_identity(x) == 2
+    assert distance_to_identity(scan((5, 5))) == 2
     assert far_basepoint(0) == S_IDENTITY
     assert distance_gamma1(S_IDENTITY, far_basepoint(5)) == 5
 

@@ -4,10 +4,9 @@ import pytest
 
 from oracles import replay_certificate
 from stallings.complexes import ForbiddenRegion, get_complex
-from stallings.elements import S_IDENTITY, s_from_word, scan
+from stallings.elements import S_IDENTITY, distance_to_identity, s_from_word, scan
 from stallings.homotopy import verify_certificate
 from stallings.rewrite import (
-    distance_to_identity,
     is_kernel_form,
     moves_geodesically_away,
     rewrite_to_kernel_path,
@@ -121,6 +120,13 @@ def test_input_validation():
         rewrite_to_kernel_path(S_IDENTITY, (6, -6))
     with pytest.raises(ValueError):
         rewrite_to_kernel_path(S_IDENTITY, (5, -5))
+
+
+def test_path_into_forbidden_region_is_reported_unverified():
+    region = ForbiddenRegion(get_complex("gamma_1"), (S_IDENTITY,), 2)
+    report = rewrite_to_kernel_path(S_IDENTITY, (1, 3, -1, -3), forbidden=region)
+    assert not report.verified
+    assert report.min_swept_distance is None
 
 
 def test_dipping_path_never_reaches_identity():

@@ -6,19 +6,15 @@ from stallings.words import (
     EGEN_COUNT,
     EGEN_VALUES,
     EGEN_WORDS,
-    S_COMMUTATION_GENERATORS,
     GElement,
     G_IDENTITY,
-    e_expand,
     egen_id,
     egen_index,
     exponent_sum,
     g_from_word,
     in_kernel,
     invert_word,
-    is_kernel_path,
     is_reduced,
-    k_pair,
     kernel_identity_report,
     one_ended_reduction_report,
     reduce_mul,
@@ -126,8 +122,8 @@ def test_egen_values_collapse_across_factors():
 
 
 def test_commutation_generator_subset():
-    words = [EGEN_WORDS[i - 1] for i in S_COMMUTATION_GENERATORS]
-    assert sorted(words) == sorted(["bA", "cA", "dA", "cB", "dB", "dC"])
+    # the classical six-element generating set of the kernel is in the table
+    assert {"bA", "cA", "dA", "cB", "dB", "dC"} <= set(EGEN_WORDS)
 
 
 def test_egen_id_roundtrip():
@@ -139,32 +135,6 @@ def test_egen_id_roundtrip():
         egen_id(0)
     with pytest.raises(ValueError):
         egen_index(5)
-
-
-def test_is_kernel_path():
-    assert is_kernel_path("")
-    assert is_kernel_path("aB")
-    assert is_kernel_path("aAbB")  # backtrack pairs are allowed in paths
-    assert not is_kernel_path("a")
-    assert not is_kernel_path("ab")
-    assert not is_kernel_path("AB")
-    assert not is_kernel_path("aBs")
-
-
-def test_k_pair_and_e_expand():
-    assert k_pair("") == ()
-    assert k_pair("aB") == (1,)
-    assert k_pair("aCCa") == (2, 19)
-    assert e_expand((1, 4)) == "aBbA"
-    assert e_expand((-1,)) == invert_word("aB")
-    with pytest.raises(ValueError):
-        k_pair("aA")  # backtrack pair is not a generator
-    with pytest.raises(ValueError):
-        k_pair("abc")
-    rng = random.Random(3)
-    for _ in range(200):
-        idxs = tuple(rng.randrange(1, EGEN_COUNT + 1) for _ in range(rng.randrange(0, 6)))
-        assert k_pair(e_expand(idxs)) == idxs
 
 
 def test_kernel_identity_report():
