@@ -65,11 +65,19 @@ def _load_forbidden(path: str):
     """Read a forbidden set: either a ball description or explicit vertices."""
     with open(path) as fh:
         data = json.load(fh)
-    if "radius" in data:
-        spec = get_complex(data.get("complex", "x"))
-        centers = tuple(s_from_json(v) for v in data.get("centers", [s_to_json(S_IDENTITY)]))
-        return ForbiddenRegion(spec, centers, data["radius"])
-    return frozenset(s_from_json(v) for v in data["vertices"])
+    if not isinstance(data, dict):
+        raise ValueError("a forbidden-set file must be a JSON object")
+    if "radius" not in data:
+        if not isinstance(data.get("vertices"), list):
+            raise ValueError("a forbidden-set file needs 'radius' or a list of 'vertices'")
+        return frozenset(s_from_json(v) for v in data["vertices"])
+    radius, centers = data["radius"], data.get("centers", [s_to_json(S_IDENTITY)])
+    spec_name = data.get("complex", "x")
+    if not (type(radius) is int and radius >= 0 and isinstance(centers, list)
+            and isinstance(spec_name, str)):
+        raise ValueError("a forbidden ball needs a nonnegative integer 'radius',"
+                         " a list of 'centers' and a string 'complex'")
+    return ForbiddenRegion(get_complex(spec_name), tuple(map(s_from_json, centers)), radius)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ carry an explicit vertex budget so runaway queries fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from .elements import (
     GEN_VALUES,
@@ -60,20 +60,6 @@ TRIANGLE_REL_IDS = tuple(range(4, 28))
 SQUARE_REL_IDS = tuple(range(28, 52))
 
 
-def triangle_rel_id(index: int) -> int:
-    """Relator id of the triangle for kernel generator table entry `index`."""
-    if not 1 <= index <= EGEN_COUNT:
-        raise ValueError(f"generator index out of range: {index}")
-    return 3 + index
-
-
-def square_rel_id(index: int) -> int:
-    """Relator id of the stable-letter square for table entry `index`."""
-    if not 1 <= index <= EGEN_COUNT:
-        raise ValueError(f"generator index out of range: {index}")
-    return 27 + index
-
-
 # ---------------------------------------------------------------------------
 # complex registry
 # ---------------------------------------------------------------------------
@@ -112,9 +98,6 @@ class ComplexSpec:
         generator list; it is the right stepping set for metric questions.
         """
         return self._values
-
-    def relators(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(REL_WORDS[rid] for rid in self.relator_ids)
 
 
 LETTER_GENS = (1, 2, 3, 4)
@@ -249,20 +232,17 @@ def find_generator_path(
     spec: ComplexSpec,
     start: SElement,
     goal: SElement,
-    forbidden: Callable[[SElement], bool] | object | None = None,
+    forbidden: Container[SElement] = frozenset(),
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, ...] | None:
     """Shortest signed-generator word from start to goal avoiding a region.
 
-    `forbidden` is a predicate or a container of excluded vertices.  On an
-    infinite complex a None return means the region separates the goal
-    from the start; a budget overrun raises instead of returning None so
-    the two failure modes stay distinguishable.
+    `forbidden` is any container of excluded vertices.  On an infinite
+    complex a None return means the region separates the goal from the
+    start; a budget overrun raises instead of returning None so the two
+    failure modes stay distinguishable.
     """
-    blocked = None
-    if forbidden is not None:
-        blocked = forbidden if callable(forbidden) else (lambda v: v in forbidden)
-    if blocked is not None and (blocked(start) or blocked(goal)):
+    if start in forbidden or goal in forbidden:
         return None
     if start == goal:
         return ()
@@ -274,7 +254,7 @@ def find_generator_path(
         for v in frontier:
             for gen in gens:
                 w = step(v, gen)
-                if w in parent or (blocked is not None and blocked(w)):
+                if w in parent or w in forbidden:
                     continue
                 if len(parent) >= budget:
                     raise SearchBudgetExceeded(
@@ -310,10 +290,6 @@ class ForbiddenRegion:
     def __contains__(self, v: SElement) -> bool:
         return v in self._dist
 
-    def distance(self, v: SElement) -> int | None:
-        """Distance to the center set, or None beyond the region's radius."""
-        return self._dist.get(v)
-
     def __len__(self) -> int:
         return len(self._dist)
 
@@ -324,29 +300,6 @@ class ForbiddenRegion:
 # ---------------------------------------------------------------------------
 # ends experiment
 # ---------------------------------------------------------------------------
-
-class _DSU:
-    def __init__(self) -> None:
-        self.parent: dict[SElement, SElement] = {}
-
-    def find(self, v: SElement) -> SElement:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def add(self, v: SElement) -> None:
-        if v not in self.parent:
-            self.parent[v] = v
-
-    def union(self, u: SElement, v: SElement) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self.parent[ru] = rv
-
 
 def sphere_complement_components(
     spec: ComplexSpec,
@@ -364,34 +317,39 @@ def sphere_complement_components(
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
     dist = ball(spec, R, budget=budget)
-    shell = [v for v, d in dist.items() if d > r]
-    dsu = _DSU()
-    for v in shell:
-        dsu.add(v)
     values = spec.step_values()
-    for v in shell:
-        dv = dist[v]
-        for value in values:
-            w = s_multiply(v, value)
-            dw = dist.get(w)
-            if dw is not None and dw > r:
-                dsu.union(v, w)
-    component_of: dict[SElement, SElement] = {v: dsu.find(v) for v in shell}
-    sizes: dict[SElement, int] = {}
-    touches_outer: set[SElement] = set()
-    for v, root in component_of.items():
-        sizes[root] = sizes.get(root, 0) + 1
-        if dist[v] == R:
-            touches_outer.add(root)
+    sizes: list[int] = []
+    essential = 0
+    # flood fill over the shell; a visited vertex has its distance zeroed,
+    # which drops it out of the shell (r >= 0) without a separate seen set
+    for v, d in dist.items():
+        if d <= r:
+            continue
+        touches_outer = d == R
+        dist[v] = 0
+        stack = [v]
+        size = 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for value in values:
+                w = s_multiply(u, value)
+                dw = dist.get(w, 0)
+                if dw > r:
+                    touches_outer |= dw == R
+                    dist[w] = 0
+                    stack.append(w)
+        sizes.append(size)
+        essential += touches_outer
     return {
         "complex": spec.name,
         "r": r,
         "R": R,
         "ball_size": len(dist),
-        "shell_size": len(shell),
+        "shell_size": sum(sizes),
         "components": len(sizes),
-        "essential_components": len(touches_outer),
-        "component_sizes": sorted(sizes.values(), reverse=True),
+        "essential_components": essential,
+        "component_sizes": sorted(sizes, reverse=True),
     }
 
 

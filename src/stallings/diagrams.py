@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from .complexes import REL_WORDS, SQUARE_REL_IDS
-from .elements import S_IDENTITY, SElement, gen_to_token, step
+from .elements import gen_to_token
 from .homotopy import RELATOR_FORMS, inverse_path
 from .words import S_ID
 
@@ -82,10 +82,6 @@ class Diagram:
         self.basepoint = basepoint_vertex
         self._next_vertex = basepoint_vertex + 1
         self._next_dart = 0
-
-    @staticmethod
-    def twin(dart: int) -> int:
-        return dart ^ 1
 
     def head(self, dart: int) -> int:
         return self.origin[dart ^ 1]
@@ -246,28 +242,6 @@ class Diagram:
                         queue.append(u)
             if seen != verts:
                 raise DiagramError("diagram is not connected")
-
-    # -- geometry ----------------------------------------------------------
-
-    def realize(self, start: SElement = S_IDENTITY) -> dict[int, SElement]:
-        """Assign complex vertices to diagram vertices, basepoint at start."""
-        values = {self.basepoint: start}
-        adjacency: dict[int, list[int]] = {}
-        for d in self.label:
-            adjacency.setdefault(self.origin[d], []).append(d)
-        queue = [self.basepoint]
-        while queue:
-            v = queue.pop()
-            for d in adjacency.get(v, ()):
-                u = self.head(d)
-                val = step(values[v], self.label[d])
-                if u in values:
-                    if values[u] != val:
-                        raise DiagramError("edge labels are inconsistent")
-                else:
-                    values[u] = val
-                    queue.append(u)
-        return values
 
     # -- export ------------------------------------------------------------
 
@@ -441,21 +415,17 @@ def extract_bands(dia: Diagram) -> BandDecomposition:
     if used_squares != all_squares:
         raise DiagramError("annular band of squares detected")
     bands.sort(key=lambda b: b.entry)
-    for x in range(len(bands)):
-        for y in range(len(bands)):
-            bx, by = bands[x], bands[y]
-            if bx.entry < by.entry < bx.exit < by.exit:
-                raise DiagramError("bands cross")
-    parent = []
+    # bands still open at the current entry, each nested in the one below;
+    # a band that outlasts the innermost open band crosses it
+    parent: list[int] = []
+    open_bands: list[int] = []
     for x, b in enumerate(bands):
-        best = -1
-        for y, c in enumerate(bands):
-            if y != x and c.entry < b.entry and b.exit < c.exit:
-                if best == -1 or c.exit - c.entry < (
-                    bands[best].exit - bands[best].entry
-                ):
-                    best = y
-        parent.append(best)
+        while open_bands and bands[open_bands[-1]].exit < b.entry:
+            open_bands.pop()
+        if open_bands and bands[open_bands[-1]].exit < b.exit:
+            raise DiagramError("bands cross")
+        parent.append(open_bands[-1] if open_bands else -1)
+        open_bands.append(x)
     return BandDecomposition(bands, parent)
 
 
@@ -464,7 +434,6 @@ def band_invariants(dia: Diagram) -> dict[str, object]:
     decomposition = extract_bands(dia)
     bands = decomposition.bands
     word = dia.boundary_word()
-    assert sum(1 for g in word if abs(g) == S_ID) == 2 * len(bands)
     return {
         "boundary_length": len(word),
         "bands": len(bands),

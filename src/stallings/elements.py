@@ -44,13 +44,6 @@ class SElement(NamedTuple):
     cd: str
     tail: str
 
-    @property
-    def k(self) -> GElement:
-        return GElement(self.ab, self.cd)
-
-    def is_identity(self) -> bool:
-        return not self.ab and not self.cd and not self.tail
-
 
 S_IDENTITY = SElement("", "", "")
 
@@ -214,6 +207,14 @@ def scan(gens: Iterable[int], start: SElement = S_IDENTITY) -> SElement:
     for gen in gens:
         x = step(x, gen)
     return x
+
+
+def walk(start: SElement, gens: Iterable[int]) -> list[SElement]:
+    """Vertices of the edge path from start along signed generator ids."""
+    verts = [start]
+    for gen in gens:
+        verts.append(step(verts[-1], gen))
+    return verts
 
 
 def s_from_word(word: str) -> SElement:

@@ -18,7 +18,7 @@ homotopy rel endpoints; with an empty final path it is a null-homotopy.
 Verification walks the moves, checks each against the labels it claims to
 act on, and tests every vertex the homotopy sweeps over against an optional
 forbidden region.  Endpoint preservation inside a cell move follows from
-the relator being trivial in the group, which is asserted, not assumed.
+the relator being trivial in the group, which is checked, not assumed.
 
 `PathEditor` applies moves against live state so that positions are always
 correct, and turns the recorded history into a certificate.  The block
@@ -30,7 +30,7 @@ contraction) out of single moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .complexes import ComplexSpec, REL_WORDS, get_complex
 from .elements import (
@@ -41,6 +41,7 @@ from .elements import (
     s_to_json,
     step,
     token_to_gen,
+    walk,
 )
 from .words import (
     EGEN_FIRST_ID,
@@ -131,9 +132,8 @@ def _apply_move(
 ) -> list[SElement]:
     """Apply one move in place; returns the vertices the move creates.
 
-    Raises CertificateError when the move does not match the labels.  The
-    endpoint identities inside cell moves hold for every relator form once
-    the labels match, so those are asserted rather than reported.
+    Raises CertificateError when the move does not match the labels or
+    does not fix the path's endpoints.
     """
     kind = move[0]
     if kind == "ins":
@@ -150,9 +150,8 @@ def _apply_move(
         _, pos = move
         if not 0 <= pos < len(labels) - 1:
             raise CertificateError(f"delete position {pos} out of range")
-        if labels[pos + 1] != -labels[pos]:
+        if labels[pos + 1] != -labels[pos] or verts[pos + 2] != verts[pos]:
             raise CertificateError(f"labels at {pos} are not a backtrack")
-        assert verts[pos + 2] == verts[pos]
         del labels[pos : pos + 2]
         del verts[pos + 1 : pos + 3]
         return []
@@ -160,6 +159,8 @@ def _apply_move(
         _, pos, rid, inv, rot, split = move
         if rid not in set(spec.relator_ids):
             raise CertificateError(f"2-cell {rid} is not in {spec.name}")
+        if inv not in (0, 1) or not 0 <= rot < len(REL_WORDS[rid]):
+            raise CertificateError(f"2-cell {rid} has no form inv={inv}, rot={rot}")
         relator = relator_form(rid, inv, rot)
         if not 0 <= split <= len(relator):
             raise CertificateError(f"split {split} out of range for 2-cell {rid}")
@@ -170,17 +171,11 @@ def _apply_move(
                 f"path at {pos} does not match 2-cell {rid} side {relator[:split]}"
             )
         replacement = inverse_path(relator[split:])
-        created: list[SElement] = []
-        v = verts[pos]
-        for gen in replacement[:-1] if replacement else ():
-            v = step(v, gen)
-            created.append(v)
-        # both sides of the cell read the same group element
-        if replacement:
-            last = created[-1] if created else verts[pos]
-            assert step(last, replacement[-1]) == verts[pos + split]
-        else:
-            assert verts[pos + split] == verts[pos]
+        walked = walk(verts[pos], replacement)
+        # both sides of the cell must read the same group element
+        if walked[-1] != verts[pos + split]:
+            raise CertificateError(f"2-cell {rid} does not close at {pos}")
+        created = walked[1:-1]
         labels[pos : pos + split] = replacement
         verts[pos + 1 : pos + split] = created
         return created
@@ -188,24 +183,23 @@ def _apply_move(
 
 
 def verify_certificate(
-    cert: Certificate,
-    forbidden: Callable[[SElement], bool] | object | None = None,
+    cert: Certificate, forbidden: Container[SElement] | None = None
 ) -> VerificationResult:
-    """Replay a certificate, checking every move and every swept vertex."""
-    blocked = _as_predicate(forbidden)
+    """Replay a certificate, checking every move and every swept vertex.
+
+    `forbidden` is any container of vertices the homotopy must not touch;
+    None forbids nothing.
+    """
     spec = get_complex(cert.complex_name)
     allowed = set(spec.gens)
     labels = list(cert.path)
-    verts = [cert.start]
     for i, gen in enumerate(labels):
         if abs(gen) not in allowed:
             return VerificationResult(False, f"path label {i} is not a generator", 0)
-        verts.append(step(verts[-1], gen))
+    verts = walk(cert.start, labels)
     swept = set(verts)
-    if blocked is not None:
-        for v in verts:
-            if blocked(v):
-                return VerificationResult(False, "initial path enters forbidden region", 0)
+    if forbidden is not None and any(v in forbidden for v in verts):
+        return VerificationResult(False, "initial path enters forbidden region", 0)
     end = verts[-1]
     for mi, move in enumerate(cert.moves):
         try:
@@ -213,26 +207,13 @@ def verify_certificate(
         except CertificateError as exc:
             return VerificationResult(False, f"move {mi}: {exc}", mi)
         swept.update(created)
-        if blocked is not None:
-            for v in created:
-                if blocked(v):
-                    return VerificationResult(
-                        False, f"move {mi} sweeps into forbidden region", mi
-                    )
+        if forbidden is not None and any(v in forbidden for v in created):
+            return VerificationResult(False, f"move {mi} sweeps into forbidden region", mi)
     if tuple(labels) != cert.result:
         return VerificationResult(
             False, "moves do not produce the claimed final path", len(cert.moves)
         )
-    assert verts[-1] == end
     return VerificationResult(True, None, len(cert.moves), frozenset(swept), end)
-
-
-def _as_predicate(forbidden) -> Callable[[SElement], bool] | None:
-    if forbidden is None:
-        return None
-    if callable(forbidden):
-        return forbidden
-    return lambda v: v in forbidden
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +295,11 @@ class PathEditor:
         self.start = start
         self._initial = tuple(labels)
         self._labels = list(self._initial)
-        self._verts = [start]
         allowed = set(spec.gens)
         for gen in self._labels:
             if abs(gen) not in allowed:
                 raise CertificateError(f"label {gen} is not a generator of {spec.name}")
-            self._verts.append(step(self._verts[-1], gen))
+        self._verts = walk(start, self._labels)
         self._moves: list[Move] = []
 
     @property
@@ -493,7 +473,7 @@ def contract_product_loop(editor: PathEditor, pos: int, length: int) -> None:
                 raise CertificateError("loop is not null-homotopic in the product")
         used += 1
         if used > budget:
-            raise AssertionError("loop contraction exceeded its move budget")
+            raise CertificateError("loop contraction exceeded its move budget")
 
 
 def contract_kernel_generator_loop(editor: PathEditor, pos: int, count: int) -> None:

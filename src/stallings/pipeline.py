@@ -50,7 +50,7 @@ from .elements import (
     s_multiply,
     s_to_json,
     scan,
-    step,
+    walk,
 )
 from .homotopy import (
     Certificate,
@@ -143,13 +143,6 @@ def base_exclusion_radius(region: ForbiddenRegion) -> int:
     return k
 
 
-def _loop_vertices(start: SElement, labels: Sequence[int]) -> list[SElement]:
-    verts = [start]
-    for gen in labels:
-        verts.append(step(verts[-1], gen))
-    return verts
-
-
 def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) -> int:
     """Farthest any swept vertex strays from the input loop's vertex set."""
     anchors = list(dict.fromkeys(loop_verts))
@@ -229,7 +222,7 @@ def run_main_pipeline(
     labels = tuple(labels)
     if region is None:
         region = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
-    verts = _loop_vertices(start, labels)
+    verts = walk(start, labels)
     if verts[-1] != start:
         raise ValueError("path is not a loop")
     k = base_exclusion_radius(region)
@@ -261,7 +254,8 @@ def run_main_pipeline(
             for i in range(p - 1, -1, -1):
                 contractor.delete_backtrack(i)
         stage3 = contractor.certificate(f"contract at stable level {p}")
-        assert stage3.result == ()
+        if stage3.result:
+            raise CertificateError(f"contraction at stable level {p} left a path")
         stages = (("rewrite", stage1), ("convert", stage2), ("contract", stage3))
         composed = compose_certificates(stages)
         levels_tried += 1
@@ -365,10 +359,12 @@ def run_reduce_demo(
         contract_kernel_generator_loop(editor, 0, len(editor))
 
     cert = editor.certificate("eliminate bands, then contract the residue")
-    assert cert.result == ()
-    assert len(detour_lengths) == len(decomposition.bands)
+    if cert.result:
+        raise CertificateError("band elimination left a path")
+    if len(detour_lengths) != len(decomposition.bands):
+        raise CertificateError("band eliminations do not match the diagram's bands")
     res = verify_certificate(cert, region)
-    loop_verts = _loop_vertices(start, boundary)
+    loop_verts = walk(start, boundary)
     summary = {
         "expression": [
             {
@@ -476,7 +472,7 @@ def random_far_loop(
             labels = (
                 u + v + tuple(-g for g in reversed(u)) + tuple(-g for g in reversed(v))
             )
-        verts = _loop_vertices(base, labels)
+        verts = walk(base, labels)
         if min(distance_gamma1(S_IDENTITY, w) for w in verts) > min_distance - 1:
             return base, labels
     raise RuntimeError("could not sample a loop clearing the distance floor")

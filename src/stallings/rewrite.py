@@ -37,9 +37,15 @@ from .elements import (
     distance_to_identity,
     s_from_word,
     s_to_g,
-    step,
+    walk,
 )
-from .homotopy import Certificate, PathEditor, interleave_blocks, verify_certificate
+from .homotopy import (
+    Certificate,
+    CertificateError,
+    PathEditor,
+    interleave_blocks,
+    verify_certificate,
+)
 
 GAMMA_1 = get_complex("gamma_1")
 
@@ -69,18 +75,6 @@ def split_syllables(labels: tuple[int, ...]) -> list[tuple[str, int, int]]:
     return out
 
 
-def moves_geodesically_away(v: SElement, gen: int) -> bool:
-    """Appending gen to v does not shorten the relevant factor projection."""
-    g = s_to_g(v)
-    proj = g.ab if abs(gen) in AB_BASES else g.cd
-    if not proj:
-        return True
-    letter = "abcd"[abs(gen) - 1]
-    if gen < 0:
-        letter = letter.upper()
-    return proj[-1] != letter.swapcase()
-
-
 def _away_letter(v: SElement, factor: str, sign: int) -> tuple[int, bool]:
     """A letter of the factor and sign whose repetitions move away from v.
 
@@ -92,13 +86,9 @@ def _away_letter(v: SElement, factor: str, sign: int) -> tuple[int, bool]:
     bases = AB_BASES if factor == "ab" else CD_BASES
     proj = g.ab if factor == "ab" else g.cd
     if not proj:
-        gen = sign * bases[1]
-        assert moves_geodesically_away(v, gen)
-        return gen, True
+        return sign * bases[1], True
     last_base = 1 + "abcd".index(proj[-1].lower())
-    gen = sign * (bases[0] if last_base != bases[0] else bases[1])
-    assert moves_geodesically_away(v, gen)
-    return gen, False
+    return sign * (bases[0] if last_base != bases[0] else bases[1]), False
 
 
 @dataclass
@@ -142,9 +132,10 @@ class _Rewriter:
                 break
             syllables = split_syllables(rem)
             trace.append(len(syllables))
-            if len(trace) >= 2:
-                assert trace[-1] < trace[-2], "syllable count must decrease"
-            assert len(syllables) >= 2, "a zero-sum remainder has two syllables"
+            if len(trace) >= 2 and trace[-1] >= trace[-2]:
+                raise CertificateError("the syllable count did not decrease")
+            if len(syllables) < 2:
+                raise CertificateError("a zero-sum remainder has at least two syllables")
             factor, sign, k1 = syllables[0]
             factor2, sign2, k2 = syllables[1]
             other = "cd" if factor == "ab" else "ab"
@@ -216,10 +207,7 @@ def rewrite_to_kernel_path(
     trace = rewriter.run(0)
     cert = editor.certificate(description)
 
-    original = [start]
-    for gen in labels:
-        original.append(step(original[-1], gen))
-    min_original = min(distance_to_identity(v) for v in original)
+    min_original = min(map(distance_to_identity, walk(start, labels)))
     report = RewriteReport(
         certificate=cert,
         cases=rewriter.cases,
@@ -276,14 +264,11 @@ def transversal_bases() -> tuple[SElement, ...]:
             pattern.append(ch if j % 4 < 2 else ch.upper())
         return "".join(pattern)
 
-    bases = []
-    for n in (3, 4, 5):
-        for i in range(n + 1):
-            base = s_from_word(_word("ab", i) + _word("cd", n - i))
-            g = s_to_g(base)
-            assert (len(g.ab), len(g.cd)) == (i, n - i)
-            bases.append(base)
-    return tuple(bases)
+    return tuple(
+        s_from_word(_word("ab", i) + _word("cd", n - i))
+        for n in (3, 4, 5)
+        for i in range(n + 1)
+    )
 
 
 def run_rewrite_suite(
@@ -313,17 +298,9 @@ def run_rewrite_suite(
     max_moves = 0
     for base in bases:
         for word in words:
-            if region is not None:
-                v = base
-                inside = v in region
-                for gen in word:
-                    if inside:
-                        break
-                    v = step(v, gen)
-                    inside = v in region
-                if inside:
-                    skipped += 1
-                    continue
+            if region is not None and any(v in region for v in walk(base, word)):
+                skipped += 1
+                continue
             report = rewrite_to_kernel_path(base, word, forbidden=region)
             runs += 1
             verified += report.verified

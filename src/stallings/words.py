@@ -79,13 +79,6 @@ class GElement(NamedTuple):
     def exponent_sum(self) -> int:
         return exponent_sum(self.ab) + exponent_sum(self.cd)
 
-    def length(self) -> int:
-        """Word length in the Cayley graph over {a,b,c,d}."""
-        return len(self.ab) + len(self.cd)
-
-    def is_identity(self) -> bool:
-        return not self.ab and not self.cd
-
 
 G_IDENTITY = GElement("", "")
 

@@ -43,7 +43,9 @@ def replay_certificate(cert, forbidden=None):
             labels = labels[:pos] + labels[pos + 2 :]
         elif kind == "cell":
             _, pos, rid, inv, rot, split = move
-            if rid not in spec.relator_ids:
+            if rid not in spec.relator_ids or inv not in (0, 1):
+                return False, f"move {mi} invalid", frozenset(swept)
+            if not 0 <= rot < len(relator_form(rid, 0, 0)):
                 return False, f"move {mi} invalid", frozenset(swept)
             r = relator_form(rid, inv, rot)
             if not (0 <= split <= len(r) and 0 <= pos <= len(labels) - split):

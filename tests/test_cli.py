@@ -5,6 +5,7 @@ exit-code contract (0 iff all verifications pass) is pinned alongside the
 report shapes.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -254,18 +255,51 @@ def test_f2p_path_into_forbidden_ball_reports_failure(capsys):
     assert data["min_swept_distance"] is None
 
 
-def test_f2p_failure_is_the_same_under_optimize():
+def run_module(*argv, optimize=True):
+    """Run the CLI in a fresh interpreter, with `python -O` by default."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     )}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "stallings", "f2p", "--base", "", "--word", "acAC",
-         "--m", "2"],
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "stallings", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_f2p_failure_is_the_same_under_optimize():
+    proc = run_module("f2p", "--base", "", "--word", "acAC", "--m", "2")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["verified"] is False
+
+
+def test_verify_cert_is_the_same_under_optimize(tmp_path):
+    # a wrapped rotation fails an explicit check of the verifier (exit 1);
+    # a negative forbidden radius is bad input (exit 2)
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(
+        {**VALID_CERT, "moves": [["cell", 0, 0, 0, 4, 2]], "result": ["c", "a"]}
+    ))
+    forbidden = tmp_path / "forbidden.json"
+    forbidden.write_text(json.dumps({"radius": -1}))
+    for extra, code in (((), 1), (("--forbidden", str(forbidden)), 2)):
+        argv = ("verify-cert", str(cert_file), *extra)
+        plain, optimized = run_module(*argv, optimize=False), run_module(*argv)
+        assert plain.returncode == optimized.returncode == code
+        assert plain.stdout == optimized.stdout
+        assert "Traceback" not in plain.stderr + optimized.stderr
+        if code == 1:
+            assert json.loads(optimized.stdout)["ok"] is False
+
+
+def test_source_has_no_asserts():
+    # correctness checks must survive python -O, so src/ raises explicitly
+    for path in sorted((SRC / "stallings").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Name):
+                assert node.id != "AssertionError", f"{path.name}:{node.lineno}"
 
 
 @pytest.mark.parametrize(
@@ -284,15 +318,30 @@ def test_f2p_failure_is_the_same_under_optimize():
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
         pytest.param(("verify-cert", {"moves": [["ins", 0]]}), "malformed move",
                      id="cert-truncated-move"),
+        pytest.param(("verify-cert", {}, "--forbidden", {"radius": "x"}), "'radius'",
+                     id="forbidden-radius-not-an-int"),
+        pytest.param(("verify-cert", {}, "--forbidden", {"radius": -1}), "'radius'",
+                     id="forbidden-negative-radius"),
+        pytest.param(("verify-cert", {}, "--forbidden", {"radius": True}), "'radius'",
+                     id="forbidden-radius-is-a-bool"),
+        pytest.param(("verify-cert", {}, "--forbidden", {"radius": 1, "centers": 3}),
+                     "'centers'", id="forbidden-centers-not-a-list"),
+        pytest.param(("verify-cert", {}, "--forbidden", {"vertices": 5}), "'vertices'",
+                     id="forbidden-vertices-not-a-list"),
+        pytest.param(("verify-cert", {}, "--forbidden", [1]), "JSON object",
+                     id="forbidden-not-an-object"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
-    if isinstance(argv[-1], dict):
-        cert_file = tmp_path / "cert.json"
-        cert_file.write_text(json.dumps({**VALID_CERT, **argv[-1]}))
-        argv = (*argv[:-1], str(cert_file))
+    # JSON arguments become files: a certificate patch, or a forbidden set
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            data = arg if argv[i - 1] == "--forbidden" else {**VALID_CERT, **arg}
+            argv[i] = str(tmp_path / f"arg{i}.json")
+            Path(argv[i]).write_text(json.dumps(data))
     try:
-        code = main(list(argv))
+        code = main(argv)
     except SystemExit as exc:  # argparse rejects the value at parse time
         code = exc.code
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from stallings.complexes import square_rel_id, triangle_rel_id
+from stallings.complexes import SQUARE_REL_IDS, TRIANGLE_REL_IDS
 from stallings.diagrams import (
     Band,
     ConjugateFactor,
@@ -14,13 +14,13 @@ from stallings.diagrams import (
     extract_bands,
     random_expression,
 )
-from stallings.elements import S_IDENTITY, s_from_word, scan
+from stallings.elements import s_from_word, scan
 
 
 def test_two_square_corridor():
     factors = [
-        ConjugateFactor((), square_rel_id(1), 1),
-        ConjugateFactor((6,), square_rel_id(6), 1),
+        ConjugateFactor((), SQUARE_REL_IDS[0], 1),
+        ConjugateFactor((6,), SQUARE_REL_IDS[5], 1),
     ]
     dia = build_diagram(factors)
     assert dia.boundary_word() == (5, 6, 11, -5, -11, -6)
@@ -35,8 +35,8 @@ def test_two_square_corridor():
 
 def test_nested_bands():
     factors = [
-        ConjugateFactor((5, 11), square_rel_id(1), 1),
-        ConjugateFactor((), square_rel_id(6), 1),
+        ConjugateFactor((5, 11), SQUARE_REL_IDS[0], 1),
+        ConjugateFactor((), SQUARE_REL_IDS[5], 1),
     ]
     dia = build_diagram(factors)
     assert dia.boundary_word() == (5, 11, 5, 6, -5, -6, -5, -11)
@@ -50,8 +50,8 @@ def test_nested_bands():
 
 def test_mirror_pair_collapses():
     factors = [
-        ConjugateFactor((1, 3), triangle_rel_id(4), 1),
-        ConjugateFactor((1, 3), triangle_rel_id(4), -1),
+        ConjugateFactor((1, 3), TRIANGLE_REL_IDS[3], 1),
+        ConjugateFactor((1, 3), TRIANGLE_REL_IDS[3], -1),
     ]
     dia = build_diagram(factors)
     assert dia.boundary_word() == ()
@@ -76,6 +76,25 @@ def test_stable_free_diagram_has_no_bands():
     assert band_invariants(dia)["bands"] == 0
 
 
+def test_parent_is_innermost_enclosing_band():
+    # the quadratic definition: the narrowest band strictly enclosing b
+    rng = random.Random(23)
+    nested = 0
+    for _ in range(500):
+        decomposition = extract_bands(build_diagram(random_expression(rng)))
+        bands = decomposition.bands
+        expected = []
+        for b in bands:
+            enclosing = [
+                y for y, c in enumerate(bands) if c.entry < b.entry and b.exit < c.exit
+            ]
+            width = lambda y: bands[y].exit - bands[y].entry  # noqa: E731
+            expected.append(min(enclosing, key=width, default=-1))
+        assert decomposition.parent == expected
+        nested += any(p != -1 for p in expected)
+    assert nested > 10
+
+
 def test_boundary_is_reduced_expression():
     rng = random.Random(5)
     for _ in range(200):
@@ -94,24 +113,22 @@ def test_boundary_is_reduced_expression():
         dia.validate()
 
 
-def test_realize_closes_boundary():
+def test_boundary_word_is_a_loop():
     factors = [
-        ConjugateFactor((5, 11), square_rel_id(1), 1),
-        ConjugateFactor((), square_rel_id(6), 1),
+        ConjugateFactor((5, 11), SQUARE_REL_IDS[0], 1),
+        ConjugateFactor((), SQUARE_REL_IDS[5], 1),
     ]
     dia = build_diagram(factors)
     base = s_from_word("abS")
-    values = dia.realize(base)
-    assert values[dia.basepoint] == base
     assert scan(dia.boundary_word(), start=base) == base
 
 
-def test_realize_rejects_tampered_labels():
-    dia = build_diagram([ConjugateFactor((), square_rel_id(1), 1)])
+def test_validate_rejects_tampered_labels():
+    dia = build_diagram([ConjugateFactor((), SQUARE_REL_IDS[0], 1)])
     dart = dia.boundary[0]
     dia.label[dart] += 1
     with pytest.raises(DiagramError):
-        dia.realize()
+        dia.validate()
 
 
 def test_validate_rejects_tampering():
@@ -130,7 +147,7 @@ def test_bad_factors_rejected():
 
 
 def test_exports():
-    dia = build_diagram([ConjugateFactor((6,), square_rel_id(1), 1)])
+    dia = build_diagram([ConjugateFactor((6,), SQUARE_REL_IDS[0], 1)])
     data = json.loads(dia.to_json())
     assert data["basepoint"] == 0
     assert len(data["faces"]) == 1
@@ -140,5 +157,5 @@ def test_exports():
 
 
 def test_expression_word_of_negative_factor():
-    f = ConjugateFactor((1,), square_rel_id(1), -1)
+    f = ConjugateFactor((1,), SQUARE_REL_IDS[0], -1)
     assert f.word() == (1, 6, 5, -6, -5, -1)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import replay_certificate
+from stallings import homotopy
 from stallings.complexes import get_complex
 from stallings.elements import (
     S_IDENTITY,
@@ -112,6 +113,34 @@ def test_verify_rejects_malformed_certificates():
         "gamma_k", S_IDENTITY, good.path, good.moves, good.result
     )
     assert not verify_certificate(foreign_cell).ok
+
+
+@pytest.mark.parametrize("field, shift", [(4, 4), (4, -4), (3, 2)])
+def test_non_canonical_cell_moves_are_rejected(field, shift):
+    # a wrapped rot or an inv of 2 reads the same relator form as a
+    # canonical move, but only the canonical encoding is accepted
+    ed = PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac"))
+    swap_adjacent(ed, 0)
+    good = ed.certificate()
+    assert verify_certificate(good).ok and replay_certificate(good)[0]
+    move = list(good.moves[0])
+    move[field] += shift
+    bad = Certificate(good.complex_name, good.start, good.path, (tuple(move),), good.result)
+    res = verify_certificate(bad)
+    assert not res.ok and "no form" in res.reason
+    assert not replay_certificate(bad)[0]
+
+
+def test_cell_that_does_not_close_is_rejected(monkeypatch):
+    # a relator form whose far side ends elsewhere must be reported, not asserted
+    ed = PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac"))
+    swap_adjacent(ed, 0)
+    cert = ed.certificate()
+    real = homotopy.relator_form
+    monkeypatch.setattr(homotopy, "relator_form", lambda *a: real(*a)[:3] + (2,))
+    res = verify_certificate(cert)
+    assert not res.ok
+    assert "does not close" in res.reason
 
 
 def test_every_swept_vertex_is_guarded():

@@ -5,11 +5,11 @@ import pytest
 
 from oracles import replay_certificate
 from stallings.complexes import (
+    SQUARE_REL_IDS,
     ForbiddenRegion,
     distance_gamma1,
     find_generator_path,
     get_complex,
-    square_rel_id,
 )
 from stallings.elements import (
     S_IDENTITY,
@@ -142,7 +142,7 @@ def test_compose_certificates_rejects_broken_chain():
 
 
 def test_reduce_demo_single_square():
-    report = run_reduce_demo([((), square_rel_id(1), 1)])
+    report = run_reduce_demo([((), SQUARE_REL_IDS[0], 1)])
     assert report.verified
     s = report.summary
     assert s["boundary"] == "se1SE1"
@@ -154,7 +154,7 @@ def test_reduce_demo_single_square():
 
 
 def test_reduce_demo_nested_bands():
-    factors = [((5, 11), square_rel_id(1), 1), ((), square_rel_id(6), 1)]
+    factors = [((5, 11), SQUARE_REL_IDS[0], 1), ((), SQUARE_REL_IDS[5], 1)]
     report = run_reduce_demo(factors)
     assert report.verified
     assert report.summary["bands"] == 2
@@ -183,7 +183,7 @@ def test_reduce_demo_mirror_pair_collapses():
 def test_reduce_demo_respects_given_region():
     region = ForbiddenRegion(X, (S_IDENTITY,), 2)
     report = run_reduce_demo(
-        [((), square_rel_id(1), 1)], start=far_basepoint(8), region=region
+        [((), SQUARE_REL_IDS[0], 1)], start=far_basepoint(8), region=region
     )
     assert report.verified
     ok, _, swept = replay_certificate(report.certificate)

@@ -8,7 +8,6 @@ from stallings.elements import S_IDENTITY, distance_to_identity, s_from_word, sc
 from stallings.homotopy import verify_certificate
 from stallings.rewrite import (
     is_kernel_form,
-    moves_geodesically_away,
     rewrite_to_kernel_path,
     run_rewrite_suite,
     split_syllables,
@@ -38,18 +37,6 @@ def test_split_syllables():
         ("cd", -1, 2),
         ("ab", -1, 1),
     ]
-
-
-def test_moves_geodesically_away():
-    v = s_from_word("ac")
-    assert moves_geodesically_away(v, 4)
-    assert moves_geodesically_away(v, -4)
-    assert not moves_geodesically_away(v, -3)
-    assert moves_geodesically_away(v, 3)
-    assert moves_geodesically_away(v, 2)
-    assert not moves_geodesically_away(v, -1)
-    # empty projections never cancel
-    assert moves_geodesically_away(S_IDENTITY, -3)
 
 
 def test_commutator_loop_away_from_ball():
