@@ -10,6 +10,11 @@ Generators are signed integer ids as in `words`: letters 1..4, the stable
 letter 5, kernel generators 6..29.  `step` right-multiplies a normal form by
 a signed generator's value from the fixed table `GEN_VALUES`; it is the
 primitive that graph searches are built on.
+
+`s_multiply` is the one transition kernel under `step`, the BFS and the
+verifier.  Both factors are in normal form, so it multiplies only the parts
+the right factor has, each with the seam-only `reduce_mul`, conjugates only
+by a non-zero a-exponent, and builds the result without re-checking it.
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ class SElement(NamedTuple):
 
 
 S_IDENTITY = SElement("", "", "")
+
+# SElement from parts already in normal form, skipping NamedTuple.__new__
+_new_s = tuple.__new__
 
 
 def validate_s(x: SElement) -> SElement:
@@ -104,13 +112,23 @@ def s_to_g(x: SElement) -> GElement:
 # ---------------------------------------------------------------------------
 
 def s_multiply(x: SElement, y: SElement) -> SElement:
-    """(k1, t1)(k2, t2) = (k1 * t1 k2 t1^-1, t1 t2)."""
-    m = a_exponent(x.tail)
-    return SElement(
-        reduce_mul(x.ab, conjugate_ab(y.ab, m)),
-        reduce_mul(x.cd, y.cd),
-        reduce_mul(x.tail, y.tail),
-    )
+    """(k1, t1)(k2, t2) = (k1 * t1 k2 t1^-1, t1 t2).
+
+    Only the parts y has are multiplied: an empty part of y leaves x's part
+    as it is (a kernel generator has no tail; a, s and their inverses have
+    only a tail).  The a-exponent of t1 is counted only when k2 has an ab
+    part, and that part is conjugated only when the exponent is non-zero.
+    """
+    ab, cd, tail = x
+    y_ab, y_cd, y_tail = y
+    if y_ab:
+        m = a_exponent(tail)
+        ab = reduce_mul(ab, conjugate_ab(y_ab, m) if m else y_ab)
+    if y_cd:
+        cd = reduce_mul(cd, y_cd)
+    if y_tail:
+        tail = reduce_mul(tail, y_tail)
+    return _new_s(SElement, (ab, cd, tail))
 
 
 def s_invert(x: SElement) -> SElement:

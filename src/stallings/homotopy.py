@@ -235,7 +235,8 @@ def _move_from_json(data: Sequence) -> Move:
         raise ValueError(f"malformed move {data!r}")
     args = data[1:]
     types = (int, str) if kind == "ins" else (int,) * len(args)
-    if not all(isinstance(x, t) for x, t in zip(args, types)):
+    # bool is a subclass of int, but JSON true/false is not an integer field
+    if not all(isinstance(x, t) and not isinstance(x, bool) for x, t in zip(args, types)):
         raise ValueError(f"malformed move {data!r}")
     if kind == "ins":
         return ("ins", int(args[0]), token_to_gen(args[1]))

@@ -47,8 +47,15 @@ def reduce_word(word: str) -> str:
 
 
 def reduce_mul(left: str, right: str) -> str:
-    """Product of two already-reduced words, cancelling across the seam only."""
-    i = 0
+    """Product of two already-reduced words, cancelling across the seam only.
+
+    Most products do not cancel at all, so the seam is tested once and the
+    words are concatenated; the cancellation loop runs only past a seam that
+    does cancel.
+    """
+    if not (left and right and left[-1] == FLIP[right[0]]):
+        return left + right
+    i = 1
     nl, nr = len(left), len(right)
     while i < nl and i < nr and left[nl - 1 - i] == FLIP[right[i]]:
         i += 1

@@ -1,12 +1,57 @@
 """Reference reimplementations used as test oracles.
 
 Deliberately slow and simple: certificates are replayed by slicing label
-tuples, with every vertex recomputed from scratch after each move.
+tuples, with every vertex recomputed from scratch after each move.  Vertices
+come from the reference product below, not from the library's `step`, so
+the replay does not share the library's transition kernel.
 """
 
 from stallings.complexes import get_complex
-from stallings.elements import step
+from stallings.elements import SElement
 from stallings.homotopy import inverse_path, relator_form
+from stallings.words import (
+    EGEN_FIRST_ID,
+    EGEN_WORDS,
+    ID_LETTERS,
+    S_ID,
+    invert_word,
+    reduce_word,
+)
+
+
+def _a_power(m):
+    return "a" * m if m >= 0 else "A" * -m
+
+
+def reference_multiply(x, y):
+    """(k1, t1)(k2, t2) = (k1 * a^m k2 a^-m, t1 t2), m the a-exponent of t1.
+
+    Every part of y is multiplied, the conjugation is spelled out with
+    explicit a-powers, and each concatenation is freely reduced from scratch.
+    """
+    power = _a_power(x.tail.count("a") - x.tail.count("A"))
+    return SElement(
+        reduce_word(x.ab + power + y.ab + invert_word(power)),
+        reduce_word(x.cd + y.cd),
+        reduce_word(x.tail + y.tail),
+    )
+
+
+def generator_value(gen):
+    """Normal form of a signed generator, from its defining word."""
+    if abs(gen) == S_ID:
+        return SElement("", "", "s" if gen > 0 else "S")
+    word = ID_LETTERS[abs(gen)] if abs(gen) < S_ID else EGEN_WORDS[abs(gen) - EGEN_FIRST_ID]
+    if gen < 0:
+        word = invert_word(word)
+    power = _a_power(sum(1 if ch.islower() else -1 for ch in word))
+    ab = "".join(ch for ch in word if ch in "abAB")
+    cd = "".join(ch for ch in word if ch in "cdCD")
+    return SElement(reduce_word(ab + invert_word(power)), reduce_word(cd), power)
+
+
+def reference_step(x, gen):
+    return reference_multiply(x, generator_value(gen))
 
 
 def replay_certificate(cert, forbidden=None):
@@ -21,7 +66,7 @@ def replay_certificate(cert, forbidden=None):
     def vertices(labels):
         verts = [cert.start]
         for g in labels:
-            verts.append(step(verts[-1], g))
+            verts.append(reference_step(verts[-1], g))
         return verts
 
     labels = tuple(cert.path)

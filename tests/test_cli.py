@@ -318,6 +318,8 @@ def test_source_has_no_asserts():
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
         pytest.param(("verify-cert", {"moves": [["ins", 0]]}), "malformed move",
                      id="cert-truncated-move"),
+        pytest.param(("verify-cert", {"moves": [["cell", False, 0, False, False, 2]]}),
+                     "malformed move", id="cert-bool-move-field"),
         pytest.param(("verify-cert", {}, "--forbidden", {"radius": "x"}), "'radius'",
                      id="forbidden-radius-not-an-int"),
         pytest.param(("verify-cert", {}, "--forbidden", {"radius": -1}), "'radius'",

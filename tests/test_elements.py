@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from oracles import generator_value, reference_multiply
 from stallings.elements import (
     GEN_VALUES,
     SElement,
     S_IDENTITY,
     a_exponent,
+    a_power,
     conjugate_ab,
     g_to_s,
     gen_to_token,
@@ -29,8 +31,10 @@ from stallings.words import (
     GElement,
     ID_LETTERS,
     egen_id,
+    exponent_sum,
     g_from_word,
     invert_word,
+    reduce_word,
 )
 
 
@@ -139,6 +143,39 @@ def test_step_against_group_arithmetic():
     for bad in (0, 30, -30):
         with pytest.raises(ValueError):
             step(S_IDENTITY, bad)
+
+
+def _random_part(rng, letters, max_len=8):
+    return reduce_word("".join(rng.choice(letters) for _ in range(rng.randrange(max_len + 1))))
+
+
+def _random_element(rng):
+    """A normal form whose parts are each often empty; ab is often an a-power."""
+    ab = rng.choice(["", a_power(rng.randrange(-3, 4)), _random_part(rng, "abAB")])
+    cd = rng.choice(["", _random_part(rng, "cdCD")])
+    balance = exponent_sum(ab) + exponent_sum(cd)
+    cd = reduce_word(cd + ("C" * balance if balance > 0 else "c" * -balance))
+    tail = rng.choice(["", _random_part(rng, "asAS")])
+    return validate_s(SElement(ab, cd, tail))
+
+
+def test_s_multiply_matches_reference_product():
+    """The fast paths of `s_multiply` against the explicit formula."""
+    rng = random.Random(47)
+    xs = [_random_element(rng) for _ in range(150)]
+    assert any(x.ab and not x.ab.strip("aA") for x in xs)
+    assert any(x.tail and not x.ab for x in xs)
+    for gen, value in GEN_VALUES.items():
+        assert value == generator_value(gen)
+        for x in xs[:40]:
+            product = s_multiply(x, value)
+            assert type(product) is SElement
+            assert product == reference_multiply(x, value)
+    for x in xs:
+        for y in rng.sample(xs, 20):
+            product = s_multiply(x, y)
+            assert type(product) is SElement
+            assert product == reference_multiply(x, y)
 
 
 def test_projection_to_base_group():

@@ -60,6 +60,14 @@ def test_reduce_mul_matches_full_reduction():
         x = reduce_word("".join(rng.choice(letters) for _ in range(rng.randrange(0, 10))))
         y = reduce_word("".join(rng.choice(letters) for _ in range(rng.randrange(0, 10))))
         assert reduce_mul(x, y) == reduce_word(x + y)
+    cases = {
+        ("", ""): "", ("", "aB"): "aB", ("aB", ""): "aB",  # empty operands
+        ("ab", "Ba"): "aa", ("abA", "aab"): "abab",  # one letter cancels
+        ("a", "A"): "", ("aB", "bA"): "", ("abAB", "baBA"): "",  # all cancels
+        ("ab", "Ab"): "abAb", ("aB", "Bab"): "aBBab",  # the seam does not cancel
+    }
+    for (x, y), product in cases.items():
+        assert reduce_mul(x, y) == reduce_word(x + y) == product
 
 
 def test_invert_word():
