@@ -175,12 +175,11 @@ def _expression(args):
 
 def cmd_diagram(args):
     dia = build_diagram(_expression(args))
-    if args.mode == "render" or args.format == "dot":
+    if args.mode == "render":
         return dia.to_dot(), True
     if args.mode == "bands":
-        payload = {"kind": "diagram-bands", **band_invariants(dia)}
-        return payload, True
-    return json.loads(dia.to_json()), True
+        return {"kind": "diagram-bands", **band_invariants(dia)}, True
+    return dia.to_json(), True
 
 
 def cmd_reduce_demo(args):
@@ -249,15 +248,20 @@ def cmd_normalize(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="search budget in vertices")
-    shared.add_argument("--seed", type=int, default=0, help="random seed")
-    shared.add_argument("--out", help="write the report to a file instead of stdout")
-    shared.add_argument("--format", choices=("json", "dot"), default="json")
-    shared.add_argument("--with-timing", action="store_true",
-                        help="include wall-clock timing (breaks byte-stability)")
+    out = _flag("--out", help="write the report to a file instead of stdout")
+    budget = _flag("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="search budget in vertices")
+    seed = _flag("--seed", type=int, default=0, help="random seed")
+    timing = _flag("--with-timing", action="store_true",
+                   help="include wall-clock timing (breaks byte-stability)")
 
     parser = argparse.ArgumentParser(
         prog="stallings",
@@ -265,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-identities", parents=[shared],
+    p = sub.add_parser("verify-identities", parents=[out],
                        help="check the rewriting and reduction identities")
     p.set_defaults(handler=cmd_verify_identities)
 
-    p = sub.add_parser("ends", parents=[shared],
+    p = sub.add_parser("ends", parents=[out, budget],
                        help="sphere-complement component counts")
     p.add_argument("--r", default="1,2,3", help="comma-separated sphere radii")
     p.add_argument("--names", default="gamma_k,gamma_1,gamma_h,free_ab")
@@ -277,23 +281,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra radius of the enclosing ball")
     p.set_defaults(handler=cmd_ends)
 
-    p = sub.add_parser("ball", parents=[shared], help="BFS ball of a complex")
+    p = sub.add_parser("ball", parents=[out, budget], help="BFS ball of a complex")
     p.add_argument("--complex", default="gamma_1")
     p.add_argument("--radius", type=_nonnegative_int, required=True)
     p.add_argument("--center", default="", help="center as a word (default identity)")
+    p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(handler=cmd_ball)
 
-    p = sub.add_parser("f2p", parents=[shared],
+    p = sub.add_parser("f2p", parents=[out],
                        help="rewrite a zero-sum path to a kernel path")
     p.add_argument("--base", default="", help="basepoint as a word")
     p.add_argument("--word", help="edge labels; omit to run the whole suite")
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_nonnegative_int, default=None,
                    help="forbidden ball radius around the identity")
-    p.add_argument("--max-len", type=int, default=6,
+    p.add_argument("--max-len", type=_nonnegative_int, default=6,
                    help="suite mode: maximum word length")
     p.set_defaults(handler=cmd_f2p)
 
-    p = sub.add_parser("diagram", parents=[shared],
+    p = sub.add_parser("diagram", parents=[out, seed],
                        help="build a conjugated-relator diagram")
     p.add_argument("mode", choices=("build", "bands", "render"))
     p.add_argument("--expr",
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random mode: maximum factor count")
     p.set_defaults(handler=cmd_diagram)
 
-    p = sub.add_parser("reduce-demo", parents=[shared],
+    p = sub.add_parser("reduce-demo", parents=[out, budget, seed, timing],
                        help="eliminate stable-letter bands from a diagram boundary")
     p.add_argument("--expr",
                    help="JSON factor list; omit to run a random batch")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-factors", type=int, default=4)
     p.set_defaults(handler=cmd_reduce_demo)
 
-    p = sub.add_parser("pipeline", parents=[shared],
+    p = sub.add_parser("pipeline", parents=[out, seed, timing],
                        help="contract a far loop while avoiding a forbidden ball")
     p.add_argument("--base", default="", help="basepoint as a word")
     p.add_argument("--word", help="loop labels; omit to run a random batch")
@@ -330,18 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest stable-letter translation level to try")
     p.set_defaults(handler=cmd_pipeline)
 
-    p = sub.add_parser("dump-egen-table", parents=[shared],
+    p = sub.add_parser("dump-egen-table", parents=[out],
                        help="the kernel generator table")
     p.set_defaults(handler=cmd_dump_egen_table)
 
-    p = sub.add_parser("verify-cert", parents=[shared],
+    p = sub.add_parser("verify-cert", parents=[out],
                        help="replay a certificate file")
     p.add_argument("file", help="certificate JSON file")
     p.add_argument("--forbidden",
                    help="JSON file: ball {complex, centers, radius} or {vertices}")
     p.set_defaults(handler=cmd_verify_cert)
 
-    p = sub.add_parser("normalize", parents=[shared],
+    p = sub.add_parser("normalize", parents=[out],
                        help="normal form of a word over a, b, c, d, s")
     p.add_argument("word")
     p.set_defaults(handler=cmd_normalize)
@@ -356,9 +361,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = emit(payload, args.format) if not isinstance(payload, str) else payload
-    if isinstance(payload, str) and not text.endswith("\n"):
-        text += "\n"
+    text = emit(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -275,17 +275,11 @@ def find_generator_path(
 class ForbiddenRegion:
     """A closed metric neighborhood of a finite vertex set, as a lookup."""
 
-    def __init__(
-        self,
-        spec: ComplexSpec,
-        centers: Iterable[SElement],
-        radius: int,
-        budget: int = DEFAULT_BUDGET,
-    ) -> None:
+    def __init__(self, spec: ComplexSpec, centers: Iterable[SElement], radius: int) -> None:
         self.spec = spec
         self.centers = tuple(dict.fromkeys(centers))
         self.radius = radius
-        self._dist = neighborhood(spec, self.centers, radius, budget)
+        self._dist = neighborhood(spec, self.centers, radius)
 
     def __contains__(self, v: SElement) -> bool:
         return v in self._dist

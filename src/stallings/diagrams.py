@@ -21,7 +21,6 @@ carry the same labels, and that every square belongs to exactly one chain.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -31,6 +30,9 @@ from .homotopy import RELATOR_FORMS, inverse_path
 from .words import S_ID
 
 OUTER = -1
+
+# random conjugators use the letters, the stable letter and e1, e6, e12, e24
+CONJUGATOR_ALPHABET = (1, 2, 3, 4, 5, 6, 11, 17, 29)
 
 
 class DiagramError(ValueError):
@@ -72,15 +74,15 @@ def _reduce_labels(labels) -> tuple[int, ...]:
 class Diagram:
     """A folded diagram; mutating methods are internal to the builder."""
 
-    def __init__(self, basepoint_vertex: int = 0):
+    def __init__(self):
         self.label: dict[int, int] = {}
         self.origin: dict[int, int] = {}
         self.faces: dict[int, list[int]] = {}
         self.face_rid: dict[int, int] = {}
         self.face_of: dict[int, int] = {}
         self.boundary: list[int] = []
-        self.basepoint = basepoint_vertex
-        self._next_vertex = basepoint_vertex + 1
+        self.basepoint = 0
+        self._next_vertex = 1
         self._next_dart = 0
 
     def head(self, dart: int) -> int:
@@ -245,7 +247,7 @@ class Diagram:
 
     # -- export ------------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict[str, object]:
         edges = [
             {
                 "from": self.origin[d],
@@ -255,7 +257,7 @@ class Diagram:
             for d in sorted(self.label)
             if d % 2 == 0
         ]
-        data = {
+        return {
             "vertices": sorted(self.vertices()),
             "basepoint": self.basepoint,
             "edges": edges,
@@ -268,7 +270,6 @@ class Diagram:
             ],
             "boundary": [gen_to_token(g) for g in self.boundary_word()],
         }
-        return json.dumps(data, indent=2, sort_keys=True)
 
     def to_dot(self) -> str:
         lines = ["digraph diagram {"]
@@ -444,19 +445,18 @@ def band_invariants(dia: Diagram) -> dict[str, object]:
     }
 
 
-def random_expression(
-    rng: random.Random,
-    max_factors: int = 4,
-    max_conjugator: int = 4,
-    alphabet: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 11, 17, 29),
-) -> list[ConjugateFactor]:
-    """Random factor list; adjacent mirror factors are redrawn away."""
+def random_expression(rng: random.Random, max_factors: int = 4) -> list[ConjugateFactor]:
+    """Random factor list; adjacent mirror factors are redrawn away.
+
+    Conjugators are reduced words of at most four letters over
+    `CONJUGATOR_ALPHABET`.
+    """
     factors: list[ConjugateFactor] = []
     for _ in range(rng.randint(1, max_factors)):
         while True:
             conj: list[int] = []
-            for _ in range(rng.randint(0, max_conjugator)):
-                g = rng.choice(alphabet) * rng.choice((1, -1))
+            for _ in range(rng.randint(0, 4)):
+                g = rng.choice(CONJUGATOR_ALPHABET) * rng.choice((1, -1))
                 if conj and conj[-1] == -g:
                     continue
                 conj.append(g)

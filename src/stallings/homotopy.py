@@ -313,10 +313,6 @@ class PathEditor:
     def vertex(self, i: int) -> SElement:
         return self._verts[i]
 
-    @property
-    def end(self) -> SElement:
-        return self._verts[-1]
-
     def _record(self, move: Move) -> None:
         _apply_move(self.spec, self._labels, self._verts, move)
         self._moves.append(move)
@@ -326,9 +322,6 @@ class PathEditor:
 
     def delete_backtrack(self, pos: int) -> None:
         self._record(("del", pos))
-
-    def apply_cell(self, pos: int, rid: int, inv: int, rot: int, split: int) -> None:
-        self._record(("cell", pos, rid, inv, rot, split))
 
     def replace(self, pos: int, length: int, replacement: Sequence[int]) -> None:
         """Replace a segment across whichever 2-cell realizes the exchange."""
@@ -427,14 +420,14 @@ def expand_kernel_generators(editor: PathEditor, pos: int, count: int) -> int:
     return cursor - pos
 
 
-def conjugate_by_stable(editor: PathEditor, pos: int, length: int, sign: int = 1) -> None:
+def conjugate_by_stable(editor: PathEditor, pos: int, length: int) -> None:
     """Wrap the segment at pos in a stable-letter conjugate.
 
     The segment must consist of kernel-generator labels; one insertion and
     `length` square swaps slide the inverse stable letter across it, leaving
-    (s^sign, segment, s^-sign).
+    (s, segment, s^-1).
     """
-    editor.insert_backtrack(pos, S_ID if sign > 0 else -S_ID)
+    editor.insert_backtrack(pos, S_ID)
     commute_block(editor, pos + 1, 1, length)
 
 

@@ -89,41 +89,46 @@ class PipelineReport:
     certificate: Certificate
     timing_seconds: float | None = None
 
-    def to_json(self, include_certificates: bool = True) -> dict[str, object]:
-        data: dict[str, object] = {
+    def to_json(self) -> dict[str, object]:
+        return {
             "kind": self.kind,
             "verified": self.verified,
             "summary": self.summary,
             "timing_seconds": self.timing_seconds,
-        }
-        if include_certificates:
-            data["stages"] = [
+            "stages": [
                 {"stage": name, "certificate": certificate_to_json(cert)}
                 for name, cert in self.stages
-            ]
-            data["certificate"] = certificate_to_json(self.certificate)
-        return data
+            ],
+            "certificate": certificate_to_json(self.certificate),
+        }
 
 
-def emit(report, fmt: str = "json") -> str:
+def emit(report) -> str:
     """Serialize a report deterministically.
 
-    JSON applies to dicts and pipeline reports; DOT strings produced by
-    the graph exporters pass through unchanged.
+    A string is a DOT drawing from a graph exporter and passes through with
+    a final newline; a dict or a pipeline report becomes sorted JSON.
     """
-    if fmt == "json":
-        data = report.to_json() if isinstance(report, PipelineReport) else report
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if fmt == "dot":
-        if isinstance(report, str):
-            return report if report.endswith("\n") else report + "\n"
-        raise ValueError("DOT output applies to graph exports only")
-    raise ValueError(f"unknown format {fmt!r}")
+    if isinstance(report, str):
+        return report if report.endswith("\n") else report + "\n"
+    data = report.to_json() if isinstance(report, PipelineReport) else report
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # geometry helpers
 # ---------------------------------------------------------------------------
+
+def _default_region(region: ForbiddenRegion | None) -> ForbiddenRegion:
+    """The given region, or the radius-1 ball around the identity in `x`.
+
+    A region with no centers is empty and has length 0, so only None
+    selects the default.
+    """
+    if region is None:
+        return ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
+    return region
+
 
 def far_basepoint(distance: int) -> SElement:
     """A fixed base-group vertex at the given distance from the identity."""
@@ -152,16 +157,14 @@ def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) ->
     )
 
 
-def compose_certificates(
-    stages: Sequence[tuple[str, Certificate]], complex_name: str = "x"
-) -> Certificate:
-    """Concatenate chained stage certificates over the named complex."""
+def compose_certificates(stages: Sequence[tuple[str, Certificate]]) -> Certificate:
+    """Concatenate chained stage certificates over the complex `x`."""
     certs = [cert for _, cert in stages]
     for prev, nxt in zip(certs, certs[1:]):
         if prev.result != nxt.path or prev.start != nxt.start:
             raise CertificateError("stage certificates do not chain")
     return Certificate(
-        complex_name=complex_name,
+        complex_name=X_COMPLEX.name,
         start=certs[0].start,
         path=certs[0].path,
         moves=tuple(m for c in certs for m in c.moves),
@@ -220,8 +223,7 @@ def run_main_pipeline(
     """
     t0 = time.monotonic()
     labels = tuple(labels)
-    if region is None:
-        region = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
+    region = _default_region(region)
     verts = walk(start, labels)
     if verts[-1] != start:
         raise ValueError("path is not a loop")
@@ -233,7 +235,7 @@ def run_main_pipeline(
             f" requires staying outside radius {k}"
         )
 
-    rewrite = rewrite_to_kernel_path(start, labels, check=True)
+    rewrite = rewrite_to_kernel_path(start, labels)
     stage1 = rewrite.certificate
     editor = PathEditor(X_COMPLEX, start, stage1.result)
     produced = convert_letter_pairs(editor, 0, len(stage1.result) // 2)
@@ -326,8 +328,7 @@ def run_reduce_demo(
     diagram = build_diagram(factors)
     decomposition = extract_bands(diagram)
     boundary = diagram.boundary_word()
-    if region is None:
-        region = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
+    region = _default_region(region)
     if start is None:
         start = far_basepoint(len(boundary) // 2 + region.radius + 2)
     dilated = ForbiddenRegion(region.spec, region.centers, region.radius + 1)
@@ -444,18 +445,15 @@ def _random_free_word(
 
 
 def random_far_loop(
-    rng: random.Random,
-    min_distance: int = 3,
-    max_half: int = 2,
-    max_tries: int = 200,
+    rng: random.Random, min_distance: int = 3
 ) -> tuple[SElement, tuple[int, ...]]:
     """A short trivial letter loop all of whose vertices stay far out.
 
-    Commutators of cross-factor words, or out-and-back words, based at a
-    random reduced vertex; resamples until every vertex clears the
-    distance floor.
+    Commutators of cross-factor words of length 1-2, or out-and-back words
+    of length 4, based at a random reduced vertex; resamples, up to 200
+    times, until every vertex clears the distance floor.
     """
-    for _ in range(max_tries):
+    for _ in range(200):
         extra = rng.randint(1, 3)
         n = min_distance + extra
         split = rng.randint(0, n)
@@ -464,11 +462,11 @@ def random_far_loop(
             + _random_free_word(rng, (3, 4), n - split)
         )
         if rng.random() < 0.25:
-            out = _random_free_word(rng, rng.choice(((1, 2), (3, 4))), 2 * max_half)
+            out = _random_free_word(rng, rng.choice(((1, 2), (3, 4))), 4)
             labels = out + tuple(-g for g in reversed(out))
         else:
-            u = _random_free_word(rng, (1, 2), rng.randint(1, max_half))
-            v = _random_free_word(rng, (3, 4), rng.randint(1, max_half))
+            u = _random_free_word(rng, (1, 2), rng.randint(1, 2))
+            v = _random_free_word(rng, (3, 4), rng.randint(1, 2))
             labels = (
                 u + v + tuple(-g for g in reversed(u)) + tuple(-g for g in reversed(v))
             )
@@ -485,8 +483,7 @@ def run_pipeline_batch(
     min_distance: int = 3,
 ) -> dict[str, object]:
     """Run the main pipeline on random far loops; merge summaries by index."""
-    if region is None:
-        region = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
+    region = _default_region(region)
     rng = random.Random(seed)
     runs = []
     levels: dict[str, int] = {}
@@ -530,8 +527,7 @@ def run_reduce_batch(
     max_factors: int = 4,
 ) -> dict[str, object]:
     """Run the band-elimination demo on random expressions; merge by index."""
-    if region is None:
-        region = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
+    region = _default_region(region)
     rng = random.Random(seed)
     runs = []
     verified = 0

@@ -187,15 +187,13 @@ class _Rewriter:
 def rewrite_to_kernel_path(
     start: SElement,
     labels: tuple[int, ...],
-    description: str = "",
-    check: bool = True,
     forbidden=None,
 ) -> RewriteReport:
     """Rewrite a zero-sum letter path into kernel-generator pair form.
 
     Returns a report whose certificate transforms the input path into one
-    where every consecutive letter pair has opposite signs.  `check`
-    re-verifies the certificate and the away-from-identity guarantee,
+    where every consecutive letter pair has opposite signs.  The
+    certificate and the away-from-identity guarantee are re-verified,
     against `forbidden` when given; a failed check clears `verified`.
     """
     if any(abs(g) not in (1, 2, 3, 4) for g in labels):
@@ -205,7 +203,7 @@ def rewrite_to_kernel_path(
     editor = PathEditor(GAMMA_1, start, labels)
     rewriter = _Rewriter(editor)
     trace = rewriter.run(0)
-    cert = editor.certificate(description)
+    cert = editor.certificate()
 
     min_original = min(map(distance_to_identity, walk(start, labels)))
     report = RewriteReport(
@@ -218,7 +216,7 @@ def rewrite_to_kernel_path(
         verified=is_kernel_form(cert.result),
         syllable_counts=trace,
     )
-    if check and report.verified:
+    if report.verified:
         res = verify_certificate(cert, forbidden)
         # a rejected certificate sweeps nothing; a verified rewriting never
         # moves toward the identity

@@ -5,6 +5,7 @@ exit-code contract (0 iff all verifications pass) is pinned alongside the
 report shapes.
 """
 
+import argparse
 import ast
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from stallings.cli import main
+from stallings.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -315,6 +316,17 @@ def test_source_has_no_asserts():
                      id="reduce-demo-negative-count"),
         pytest.param(("ball", "--radius", "-1"), "must be nonnegative",
                      id="ball-negative-radius"),
+        pytest.param(("f2p", "--m", "-1"), "must be nonnegative", id="f2p-negative-m"),
+        pytest.param(("f2p", "--max-len", "-2"), "must be nonnegative",
+                     id="f2p-negative-max-len"),
+        pytest.param(("f2p", "--base", "aaa", "--word", "acAC", "--format", "dot"),
+                     "unrecognized arguments", id="f2p-format"),
+        pytest.param(("pipeline", "--base", "aaa", "--word", "acAC", "--budget", "1"),
+                     "unrecognized arguments", id="pipeline-budget"),
+        pytest.param(("ball", "--radius", "1", "--seed", "5"), "unrecognized arguments",
+                     id="ball-seed"),
+        pytest.param(("diagram", "bands", "--format", "dot"), "unrecognized arguments",
+                     id="diagram-format"),
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
         pytest.param(("verify-cert", {"moves": [["ins", 0]]}), "malformed move",
                      id="cert-truncated-move"),
@@ -350,3 +362,50 @@ def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+# every optional flag of every subcommand; the shared ones (--out, --budget,
+# --seed, --with-timing, --format) appear only where the handler reads them
+SUBCOMMAND_FLAGS = {
+    "verify-identities": {"--out"},
+    "ends": {"--out", "--budget", "--r", "--names", "--gap"},
+    "ball": {"--out", "--budget", "--format", "--complex", "--radius", "--center"},
+    "f2p": {"--out", "--base", "--word", "--m", "--max-len"},
+    "diagram": {"--out", "--seed", "--expr", "--max-factors"},
+    "reduce-demo": {"--out", "--budget", "--seed", "--with-timing", "--expr", "--start",
+                    "--complex", "--center", "--radius", "--count", "--max-factors"},
+    "pipeline": {"--out", "--seed", "--with-timing", "--base", "--word", "--complex",
+                 "--center", "--radius", "--count", "--min-distance", "--max-level"},
+    "dump-egen-table": {"--out"},
+    "verify-cert": {"--out", "--forbidden"},
+    "normalize": {"--out"},
+}
+SHARED_FLAGS = {"--out", "--budget", "--seed", "--with-timing", "--format"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert flags == SUBCOMMAND_FLAGS
+    assert sum(len(f & SHARED_FLAGS) for f in flags.values()) == 19
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("pipeline", "--base", "aaa", "--word", "acAC"), id="pipeline"),
+        pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]'), id="reduce-demo"),
+    ],
+)
+def test_with_timing_adds_only_the_seconds(argv, capsys):
+    code, plain = run_json(capsys, *argv)
+    timed_code, timed = run_json(capsys, *argv, "--with-timing")
+    assert code == timed_code == 0
+    assert plain.pop("timing_seconds") is None
+    seconds = timed.pop("timing_seconds")
+    assert type(seconds) is float and seconds >= 0
+    assert timed == plain

@@ -148,7 +148,8 @@ def test_bad_factors_rejected():
 
 def test_exports():
     dia = build_diagram([ConjugateFactor((6,), SQUARE_REL_IDS[0], 1)])
-    data = json.loads(dia.to_json())
+    data = dia.to_json()
+    assert json.loads(json.dumps(data)) == data
     assert data["basepoint"] == 0
     assert len(data["faces"]) == 1
     assert data["boundary"][0] == "e1"

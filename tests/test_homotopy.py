@@ -266,7 +266,7 @@ def test_contract_random_product_loops():
         loop = _random_product_loop(rng, rng.randrange(1, 5))
         start = s_from_word("badc"[: rng.randrange(0, 5)])
         ed = PathEditor(GAMMA1, start, loop)
-        assert ed.end == start
+        assert ed.vertex(len(ed)) == start
         contract_product_loop(ed, 0, len(loop))
         assert ed.labels == ()
         cert = ed.certificate()
@@ -286,7 +286,7 @@ def test_contract_kernel_generator_loop():
     # commutator of two kernel generators lying in opposite factors
     loop = (egen_id(4), egen_id(12), -egen_id(4), -egen_id(12))
     ed = PathEditor(GAMMA2, S_IDENTITY, loop)
-    assert ed.end == S_IDENTITY
+    assert ed.vertex(len(ed)) == S_IDENTITY
     contract_kernel_generator_loop(ed, 0, 4)
     assert ed.labels == ()
     assert verify_certificate(ed.certificate()).ok

@@ -130,8 +130,6 @@ def test_main_pipeline_report_json():
     }
     text = emit(report)
     assert json.loads(text)["summary"]["stable_level"] == 0
-    slim = report.to_json(include_certificates=False)
-    assert "certificate" not in slim
 
 
 def test_compose_certificates_rejects_broken_chain():
