@@ -43,15 +43,19 @@ from .rewrite import rewrite_to_kernel_path, run_rewrite_suite, transversal_base
 from .words import egen_table, kernel_identity_report, one_ended_reduction_report
 
 
-def _tokens(labels) -> str:
-    return " ".join(gen_to_token(g) for g in labels)
-
-
 def _nonnegative_int(text: str) -> int:
-    """Argument type for sizes, radii and levels: a nonnegative integer."""
+    """Argument type for sizes, radii, levels and distances: a nonnegative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """Argument type for factor counts: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -140,7 +144,7 @@ def cmd_f2p(args):
         "base": s_to_json(base),
         "word": args.word,
         "ball_radius": args.m,
-        "kpath": _tokens(report.certificate.result),
+        "kpath": " ".join(gen_to_token(g) for g in report.certificate.result),
         "case_trace": report.cases,
         "pair_count": report.pair_count,
         "fallback_partner_used": report.fallback_partner_used,
@@ -165,7 +169,8 @@ def _expression(args):
             isinstance(item, list)
             and len(item) == 3
             and isinstance(item[0], str)
-            and all(isinstance(x, int) for x in item[1:])
+            # bool is a subclass of int, but JSON true/false is not an id or a sign
+            and all(type(x) is int for x in item[1:])
         ):
             raise ValueError(f"malformed factor {item!r}: need [conjugator, relator_id, sign]")
         conj, rid, sign = item
@@ -262,6 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _flag("--seed", type=int, default=0, help="random seed")
     timing = _flag("--with-timing", action="store_true",
                    help="include wall-clock timing (breaks byte-stability)")
+    expression = _flag("--expr", help="JSON list of [conjugator, relator_id, sign]"
+                       " factors; omit for seeded random ones")
+    expression.add_argument("--max-factors", type=_positive_int, default=4,
+                            help="random mode: maximum factor count")
+    region = _flag("--complex", default="x", help="complex of the forbidden ball")
+    region.add_argument("--center", action="append", default=[],
+                        help="forbidden ball center (repeatable)")
+    region.add_argument("--radius", type=_nonnegative_int, default=1,
+                        help="forbidden ball radius")
 
     parser = argparse.ArgumentParser(
         prog="stallings",
@@ -298,38 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite mode: maximum word length")
     p.set_defaults(handler=cmd_f2p)
 
-    p = sub.add_parser("diagram", parents=[out, seed],
+    p = sub.add_parser("diagram", parents=[out, seed, expression],
                        help="build a conjugated-relator diagram")
     p.add_argument("mode", choices=("build", "bands", "render"))
-    p.add_argument("--expr",
-                   help='JSON list of [conjugator, relator_id, sign] factors')
-    p.add_argument("--max-factors", type=int, default=4,
-                   help="random mode: maximum factor count")
     p.set_defaults(handler=cmd_diagram)
 
-    p = sub.add_parser("reduce-demo", parents=[out, budget, seed, timing],
+    p = sub.add_parser("reduce-demo", parents=[out, budget, seed, timing, expression, region],
                        help="eliminate stable-letter bands from a diagram boundary")
-    p.add_argument("--expr",
-                   help="JSON factor list; omit to run a random batch")
     p.add_argument("--start", default="", help="basepoint as a word")
-    p.add_argument("--complex", default="x", help="complex of the forbidden ball")
-    p.add_argument("--center", action="append", default=[],
-                   help="forbidden ball center (repeatable)")
-    p.add_argument("--radius", type=_nonnegative_int, default=1, help="forbidden ball radius")
     p.add_argument("--count", type=_nonnegative_int, default=50, help="batch size")
-    p.add_argument("--max-factors", type=int, default=4)
     p.set_defaults(handler=cmd_reduce_demo)
 
-    p = sub.add_parser("pipeline", parents=[out, seed, timing],
+    p = sub.add_parser("pipeline", parents=[out, seed, timing, region],
                        help="contract a far loop while avoiding a forbidden ball")
     p.add_argument("--base", default="", help="basepoint as a word")
     p.add_argument("--word", help="loop labels; omit to run a random batch")
-    p.add_argument("--complex", default="x", help="complex of the forbidden ball")
-    p.add_argument("--center", action="append", default=[],
-                   help="forbidden ball center (repeatable)")
-    p.add_argument("--radius", type=_nonnegative_int, default=1, help="forbidden ball radius")
     p.add_argument("--count", type=_nonnegative_int, default=100, help="batch size")
-    p.add_argument("--min-distance", type=int, default=3,
+    p.add_argument("--min-distance", type=_nonnegative_int, default=3,
                    help="batch mode: vertex distance floor for sampled loops")
     p.add_argument("--max-level", type=_nonnegative_int, default=8,
                    help="largest stable-letter translation level to try")

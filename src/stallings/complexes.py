@@ -22,6 +22,7 @@ from .elements import (
     SElement,
     S_IDENTITY,
     distance_to_identity,
+    gen_to_token,
     in_base_group,
     in_kernel_subgroup,
     parse_gens,
@@ -80,7 +81,6 @@ class ComplexSpec:
     gens: tuple[int, ...]
     relator_ids: tuple[int, ...]
     member: Callable[[SElement], bool]
-    summary: str
     _values: tuple[SElement, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -111,49 +111,42 @@ COMPLEXES: dict[str, ComplexSpec] = {
             EGEN_IDS,
             (),
             in_kernel_subgroup,
-            "Cayley graph of the kernel on the 24 two-letter generators",
         ),
         ComplexSpec(
             "gamma_1",
             LETTER_GENS,
             COMMUTATOR_REL_IDS,
             in_base_group,
-            "Cayley complex of the product of free groups on the letters",
         ),
         ComplexSpec(
             "gamma_2",
             LETTER_GENS + EGEN_IDS,
             COMMUTATOR_REL_IDS + TRIANGLE_REL_IDS,
             in_base_group,
-            "base-group complex with kernel generators and triangles added",
         ),
         ComplexSpec(
             "gamma_h",
             (5,) + EGEN_IDS,
             (),
             _tail_is_s_power,
-            "graph of the subgroup generated by the kernel and the stable letter",
         ),
         ComplexSpec(
             "gamma_h_bar",
             (5,) + EGEN_IDS,
             SQUARE_REL_IDS,
             _tail_is_s_power,
-            "same graph with the commuting squares filled in",
         ),
         ComplexSpec(
             "x",
             LETTER_GENS + (5,) + EGEN_IDS,
             tuple(range(len(REL_WORDS))),
             lambda v: True,
-            "presentation complex of the whole group on all 29 generators",
         ),
         ComplexSpec(
             "free_ab",
             (1, 2),
             (),
             _is_free_ab,
-            "free group on a and b; control case with more than one end",
         ),
     )
 }
@@ -357,23 +350,16 @@ def _vertex_name(v: SElement) -> str:
 
 def ball_to_dot(spec: ComplexSpec, dist: dict[SElement, int]) -> str:
     """Render a search result as an undirected labelled graph."""
-    from .elements import gen_to_token
-
     lines = ["graph {", "  node [shape=circle, fontsize=10];"]
     for v, d in sorted(dist.items()):
         lines.append(f'  "{_vertex_name(v)}" [xlabel="{d}"];')
-    seen: set[tuple[SElement, SElement, int]] = set()
     for v in dist:
         for gen in spec.gens:
             w = step(v, gen)
             if w in dist:
-                key = (v, w, gen)
-                if key not in seen:
-                    seen.add(key)
-                    lines.append(
-                        f'  "{_vertex_name(v)}" -- "{_vertex_name(w)}"'
-                        f' [label="{gen_to_token(gen)}"];'
-                    )
-        lines.append("")
+                lines.append(
+                    f'  "{_vertex_name(v)}" -- "{_vertex_name(w)}"'
+                    f' [label="{gen_to_token(gen)}"];'
+                )
     lines.append("}")
-    return "\n".join(line for line in lines if line != "")
+    return "\n".join(lines)

@@ -22,7 +22,7 @@ carry the same labels, and that every square belongs to exactly one chain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import REL_WORDS, SQUARE_REL_IDS
 from .elements import gen_to_token
@@ -59,6 +59,18 @@ def expression_word(factors) -> tuple[int, ...]:
     for f in factors:
         out = out + f.word()
     return out
+
+
+def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:
+    """Nodes reachable from start along the adjacency lists (a flood fill)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in adjacency.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def _reduce_labels(labels) -> tuple[int, ...]:
@@ -126,8 +138,6 @@ class Diagram:
             del self.origin[d]
 
     def _merge_vertex(self, old: int, new: int) -> None:
-        if old == new:
-            return
         for d, v in self.origin.items():
             if v == old:
                 self.origin[d] = new
@@ -171,24 +181,12 @@ class Diagram:
 
     def _sweep_spheres(self) -> None:
         """Remove face components not touching the outer face."""
-        parent: dict[int, int] = {OUTER: OUTER}
-        for fid in self.faces:
-            parent[fid] = fid
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        adjacency: dict[int, list[int]] = {}
         for d in self.label:
-            if d % 2:
-                continue
-            a = find(self.face_of.get(d, OUTER))
-            b = find(self.face_of.get(d ^ 1, OUTER))
-            parent[a] = b
-        keep = find(OUTER)
-        dead = [fid for fid in self.faces if find(fid) != keep]
+            face = self.face_of.get(d, OUTER)
+            adjacency.setdefault(face, []).append(self.face_of.get(d ^ 1, OUTER))
+        keep = _reachable(OUTER, adjacency)
+        dead = [fid for fid in self.faces if fid not in keep]
         dead_darts = {d for fid in dead for d in self.faces[fid]}
         for d in dead_darts:
             if (d ^ 1) not in dead_darts:
@@ -228,22 +226,11 @@ class Diagram:
                 raise DiagramError(f"face {fid} does not read its relator")
         if self.euler_characteristic() != 2:
             raise DiagramError("diagram is not spherical")
-        verts = self.vertices()
-        if self.label:
-            seen = {self.basepoint}
-            queue = [self.basepoint]
-            adjacency: dict[int, list[int]] = {}
-            for d in self.label:
-                adjacency.setdefault(self.origin[d], []).append(d)
-            while queue:
-                v = queue.pop()
-                for d in adjacency.get(v, ()):
-                    u = self.head(d)
-                    if u not in seen:
-                        seen.add(u)
-                        queue.append(u)
-            if seen != verts:
-                raise DiagramError("diagram is not connected")
+        adjacency: dict[int, list[int]] = {}
+        for d in self.label:
+            adjacency.setdefault(self.origin[d], []).append(self.head(d))
+        if _reachable(self.basepoint, adjacency) != self.vertices():
+            raise DiagramError("diagram is not connected")
 
     # -- export ------------------------------------------------------------
 
@@ -346,18 +333,10 @@ class Band:
 
 @dataclass
 class BandDecomposition:
-    bands: list[Band]
-    parent: list[int] = field(default_factory=list)
+    """Bands sorted by entry; depths[i] counts the bands enclosing band i."""
 
-    def depths(self) -> list[int]:
-        out = []
-        for i in range(len(self.bands)):
-            depth, j = 0, self.parent[i]
-            while j != -1:
-                depth += 1
-                j = self.parent[j]
-            out.append(depth)
-        return out
+    bands: list[Band]
+    depths: list[int]
 
 
 def extract_bands(dia: Diagram) -> BandDecomposition:
@@ -416,18 +395,19 @@ def extract_bands(dia: Diagram) -> BandDecomposition:
     if used_squares != all_squares:
         raise DiagramError("annular band of squares detected")
     bands.sort(key=lambda b: b.entry)
-    # bands still open at the current entry, each nested in the one below;
-    # a band that outlasts the innermost open band crosses it
-    parent: list[int] = []
-    open_bands: list[int] = []
-    for x, b in enumerate(bands):
-        while open_bands and bands[open_bands[-1]].exit < b.entry:
+    # bands still open at the current entry, each nested in the one below,
+    # so their count is the depth; a band that outlasts the innermost open
+    # band crosses it
+    depths: list[int] = []
+    open_bands: list[Band] = []
+    for b in bands:
+        while open_bands and open_bands[-1].exit < b.entry:
             open_bands.pop()
-        if open_bands and bands[open_bands[-1]].exit < b.exit:
+        if open_bands and open_bands[-1].exit < b.exit:
             raise DiagramError("bands cross")
-        parent.append(open_bands[-1] if open_bands else -1)
-        open_bands.append(x)
-    return BandDecomposition(bands, parent)
+        depths.append(len(open_bands))
+        open_bands.append(b)
+    return BandDecomposition(bands, depths)
 
 
 def band_invariants(dia: Diagram) -> dict[str, object]:
@@ -440,7 +420,7 @@ def band_invariants(dia: Diagram) -> dict[str, object]:
         "bands": len(bands),
         "squares": sum(len(b) for b in bands),
         "band_lengths": [len(b) for b in bands],
-        "depths": decomposition.depths(),
+        "depths": decomposition.depths,
         "self_paired": sum(1 for b in bands if not b.faces),
     }
 

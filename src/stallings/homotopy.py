@@ -94,9 +94,8 @@ def find_cell_move(
     """Cell move replacing `segment` by `replacement` at pos, if a 2-cell
     of the complex realizes it."""
     word = tuple(segment) + inverse_path(replacement)
-    available = set(spec.relator_ids)
     for rid, inv, rot in RELATOR_FORMS.get(word, ()):
-        if rid in available:
+        if rid in spec.relator_ids:
             return ("cell", pos, rid, inv, rot, len(segment))
     raise CertificateError(
         f"no 2-cell of {spec.name} replaces {tuple(segment)} by {tuple(replacement)}"
@@ -140,7 +139,7 @@ def _apply_move(
         _, pos, gen = move
         if not 0 <= pos <= len(labels):
             raise CertificateError(f"insert position {pos} out of range")
-        if abs(gen) not in set(spec.gens):
+        if abs(gen) not in spec.gens:
             raise CertificateError(f"generator {gen} is not in {spec.name}")
         new = step(verts[pos], gen)
         labels[pos:pos] = [gen, -gen]
@@ -157,7 +156,7 @@ def _apply_move(
         return []
     if kind == "cell":
         _, pos, rid, inv, rot, split = move
-        if rid not in set(spec.relator_ids):
+        if rid not in spec.relator_ids:
             raise CertificateError(f"2-cell {rid} is not in {spec.name}")
         if inv not in (0, 1) or not 0 <= rot < len(REL_WORDS[rid]):
             raise CertificateError(f"2-cell {rid} has no form inv={inv}, rot={rot}")
@@ -191,10 +190,9 @@ def verify_certificate(
     None forbids nothing.
     """
     spec = get_complex(cert.complex_name)
-    allowed = set(spec.gens)
     labels = list(cert.path)
     for i, gen in enumerate(labels):
-        if abs(gen) not in allowed:
+        if abs(gen) not in spec.gens:
             return VerificationResult(False, f"path label {i} is not a generator", 0)
     verts = walk(cert.start, labels)
     swept = set(verts)
@@ -296,9 +294,8 @@ class PathEditor:
         self.start = start
         self._initial = tuple(labels)
         self._labels = list(self._initial)
-        allowed = set(spec.gens)
         for gen in self._labels:
-            if abs(gen) not in allowed:
+            if abs(gen) not in spec.gens:
                 raise CertificateError(f"label {gen} is not a generator of {spec.name}")
         self._verts = walk(start, self._labels)
         self._moves: list[Move] = []
@@ -372,11 +369,10 @@ def interleave_blocks(editor: PathEditor, pos: int, k: int) -> None:
     """Turn two commuting blocks of length k into their interleaving.
 
     (t1..tk, g1..gk) becomes (t1, g1, t2, g2, ..., tk, gk) using
-    k(k-1)/2 swaps.
+    k(k-1)/2 swaps: each g(i+1) in turn moves left past t(i+2)..tk.
     """
     for i in range(k):
-        for j in range(pos + k + i - 1, pos + 2 * i, -1):
-            swap_adjacent(editor, j)
+        commute_block(editor, pos + 2 * i + 1, k - i - 1, 1)
 
 
 def convert_letter_pairs(editor: PathEditor, pos: int, pair_count: int) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -380,7 +381,7 @@ def run_reduce_demo(
         "boundary_length": len(boundary),
         "bands": len(decomposition.bands),
         "self_paired_bands": sum(1 for b in decomposition.bands if not b.faces),
-        "band_depths": decomposition.depths(),
+        "band_depths": decomposition.depths,
         "detour_lengths": detour_lengths,
         "basepoint_distance": distance_gamma1(S_IDENTITY, start),
         "region_radius": region.radius,
@@ -476,6 +477,26 @@ def random_far_loop(
     raise RuntimeError("could not sample a loop clearing the distance floor")
 
 
+def _run_batch(kind, count, seed, region, run_one, row_keys) -> dict[str, object]:
+    """Call `run_one(rng, region)` count times; each row keeps `row_keys` of a summary."""
+    region = _default_region(region)
+    rng = random.Random(seed)
+    runs = []
+    for index in range(count):
+        summary = run_one(rng, region).summary
+        runs.append({"index": index, **{key: summary[key] for key in row_keys}})
+    verified = sum(run["verified"] for run in runs)
+    return {
+        "kind": kind,
+        "count": count,
+        "seed": seed,
+        "region_radius": region.radius,
+        "verified": verified,
+        "all_verified": verified == count,
+        "runs": runs,
+    }
+
+
 def run_pipeline_batch(
     count: int,
     seed: int = 0,
@@ -483,41 +504,21 @@ def run_pipeline_batch(
     min_distance: int = 3,
 ) -> dict[str, object]:
     """Run the main pipeline on random far loops; merge summaries by index."""
-    region = _default_region(region)
-    rng = random.Random(seed)
-    runs = []
-    levels: dict[str, int] = {}
-    verified = 0
-    max_combing = 0
-    for index in range(count):
+
+    def run_one(rng: random.Random, region: ForbiddenRegion) -> PipelineReport:
         start, labels = random_far_loop(rng, min_distance=min_distance)
-        report = run_main_pipeline(start, labels, region=region)
-        verified += report.verified
-        level = report.summary["stable_level"]
-        levels[str(level)] = levels.get(str(level), 0) + 1
-        if report.verified:
-            max_combing = max(max_combing, report.summary["combing_radius"])
-        runs.append(
-            {
-                "index": index,
-                "loop": report.summary["loop"],
-                "base": report.summary["base"],
-                "stable_level": level,
-                "combing_radius": report.summary["combing_radius"],
-                "verified": report.verified,
-            }
-        )
-    return {
-        "kind": "pipeline-batch",
-        "count": count,
-        "seed": seed,
-        "region_radius": region.radius,
-        "verified": verified,
-        "all_verified": verified == count,
-        "levels": dict(sorted(levels.items())),
-        "max_combing_radius": max_combing,
-        "runs": runs,
-    }
+        return run_main_pipeline(start, labels, region=region)
+
+    batch = _run_batch(
+        "pipeline-batch", count, seed, region, run_one,
+        ("loop", "base", "stable_level", "combing_radius", "verified"),
+    )
+    levels = Counter(str(run["stable_level"]) for run in batch["runs"])
+    batch["levels"] = dict(sorted(levels.items()))
+    batch["max_combing_radius"] = max(
+        (run["combing_radius"] for run in batch["runs"] if run["verified"]), default=0
+    )
+    return batch
 
 
 def run_reduce_batch(
@@ -527,32 +528,13 @@ def run_reduce_batch(
     max_factors: int = 4,
 ) -> dict[str, object]:
     """Run the band-elimination demo on random expressions; merge by index."""
-    region = _default_region(region)
-    rng = random.Random(seed)
-    runs = []
-    verified = 0
-    total_bands = 0
-    for index in range(count):
-        factors = random_expression(rng, max_factors=max_factors)
-        report = run_reduce_demo(factors, region=region)
-        verified += report.verified
-        total_bands += report.summary["bands"]
-        runs.append(
-            {
-                "index": index,
-                "expression": report.summary["expression"],
-                "bands": report.summary["bands"],
-                "detour_lengths": report.summary["detour_lengths"],
-                "verified": report.verified,
-            }
-        )
-    return {
-        "kind": "reduce-batch",
-        "count": count,
-        "seed": seed,
-        "region_radius": region.radius,
-        "verified": verified,
-        "all_verified": verified == count,
-        "total_bands": total_bands,
-        "runs": runs,
-    }
+
+    def run_one(rng: random.Random, region: ForbiddenRegion) -> PipelineReport:
+        return run_reduce_demo(random_expression(rng, max_factors=max_factors), region=region)
+
+    batch = _run_batch(
+        "reduce-batch", count, seed, region, run_one,
+        ("expression", "bands", "detour_lengths", "verified"),
+    )
+    batch["total_bands"] = sum(run["bands"] for run in batch["runs"])
+    return batch

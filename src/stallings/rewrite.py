@@ -151,13 +151,11 @@ class _Rewriter:
             if factor2 == factor:
                 if k2 >= k1:
                     self._fire("2")
-                    interleave_blocks(ed, pos, k1)
-                    pos += 2 * k1
                 else:
                     self._fire("3")
                     self._insert_partner(pos + k1 + k2, k1 - k2, factor, -sign)
-                    interleave_blocks(ed, pos, k1)
-                    pos += 2 * k1
+                interleave_blocks(ed, pos, k1)
+                pos += 2 * k1
                 continue
             # case 4: the second syllable has the partner's factor and sign;
             # cancel the seam between the inverted partner and the syllable
@@ -174,13 +172,11 @@ class _Rewriter:
             pos += 2 * k_left
             if k_right >= k_left:
                 self._fire("4.2")
-                interleave_blocks(ed, pos, k_left)
-                pos += 2 * k_left
             else:
                 self._fire("4.3")
                 self._insert_partner(pos + k_left + k_right, k_left - k_right, other, -sign)
-                interleave_blocks(ed, pos, k_left)
-                pos += 2 * k_left
+            interleave_blocks(ed, pos, k_left)
+            pos += 2 * k_left
         return trace
 
 

@@ -7,6 +7,7 @@ report shapes.
 
 import argparse
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -310,6 +311,18 @@ def test_source_has_no_asserts():
                      id="diagram-malformed-factor"),
         pytest.param(("reduce-demo", "--expr", "[1]"), "malformed factor",
                      id="reduce-demo-malformed-factor"),
+        pytest.param(("reduce-demo", "--expr", '[["", 28, true]]'), "malformed factor",
+                     id="reduce-demo-bool-sign"),
+        pytest.param(("diagram", "bands", "--expr", '[["", true, true]]'), "malformed factor",
+                     id="diagram-bool-relator-id"),
+        pytest.param(("reduce-demo", "--count", "2", "--max-factors", "0"),
+                     "argument --max-factors: must be positive",
+                     id="reduce-demo-zero-max-factors"),
+        pytest.param(("diagram", "build", "--max-factors", "0"),
+                     "argument --max-factors: must be positive", id="diagram-zero-max-factors"),
+        pytest.param(("pipeline", "--count", "2", "--min-distance", "-3"),
+                     "argument --min-distance: must be nonnegative",
+                     id="pipeline-negative-min-distance"),
         pytest.param(("pipeline", "--base", "aaa", "--word", "acAC", "--max-level", "-1"),
                      "must be nonnegative", id="pipeline-negative-max-level"),
         pytest.param(("reduce-demo", "--count", "-1"), "must be nonnegative",
@@ -409,3 +422,46 @@ def test_with_timing_adds_only_the_seconds(argv, capsys):
     seconds = timed.pop("timing_seconds")
     assert type(seconds) is float and seconds >= 0
     assert timed == plain
+
+
+# sha256 of stdout, taken before the simplifications that must keep reports
+# byte-identical; a digest that moves means a report changed
+REPORT_DIGESTS = [
+    pytest.param(("verify-identities",),
+                 "0dee998024d908ba87c44eb0f55f77dff93c4614302bf262c58f33dd014fb677",
+                 id="verify-identities"),
+    pytest.param(("dump-egen-table",),
+                 "5086bf9b7b24568ee5bf000ec8d9d5a843fb79215d9f2ce3c49294f10affa0a9",
+                 id="dump-egen-table"),
+    pytest.param(("ball", "--complex", "gamma_1", "--radius", "4"),
+                 "fb03d49332f705808f148a1217cc0de62699cc51eadeae8deac5cf7dfb5e5388",
+                 id="ball-gamma_1"),
+    pytest.param(("ball", "--complex", "free_ab", "--radius", "3", "--format", "dot"),
+                 "19f8dc1e5446d3379b7742e141116aa05ef1043943c7323f11897a1e2f528d14",
+                 id="ball-free_ab-dot"),
+    pytest.param(("ball", "--complex", "gamma_2", "--radius", "2", "--format", "dot"),
+                 "b6fdd73326ecbd141de0225ae022ae33f720a6daa721a63a8fc95a8c43dd5785",
+                 id="ball-gamma_2-dot"),
+    pytest.param(("diagram", "bands", "--expr", '[["", 28, 1], ["s d", 33, 1]]'),
+                 "2202634c3d43e252d33b69eb4eb874d0d30a553be84ece5a3d21db63fbe998a4",
+                 id="diagram-bands"),
+    pytest.param(("diagram", "render", "--seed", "7"),
+                 "4c7a130ff54e1e65bf6bb512852c84eb182072aabb33c63d11deeb4586c1fde3",
+                 id="diagram-render"),
+    pytest.param(("diagram", "build", "--seed", "7"),
+                 "d38d4f3c9c5e28ffb98728ae376f5e16fb90e6f246da653e6373998545742a85",
+                 id="diagram-build"),
+    pytest.param(("reduce-demo", "--count", "50", "--seed", "4"),
+                 "a422d160b6c796eeb739b882659ebbbf499d4e9e57f24a8819ae31a95e947e06",
+                 id="reduce-demo-batch"),
+    pytest.param(("pipeline", "--count", "100", "--seed", "9"),
+                 "1e272bc475cb927637b3a551ee026950dc4b82be2c5e243f71cd1e6bd9e648f8",
+                 id="pipeline-batch"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
+def test_report_digests_are_pinned(argv, digest, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

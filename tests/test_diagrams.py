@@ -26,7 +26,7 @@ def test_two_square_corridor():
     assert dia.boundary_word() == (5, 6, 11, -5, -11, -6)
     decomposition = extract_bands(dia)
     assert decomposition.bands == [Band(0, 3, (0, 1), (6, 11))]
-    assert decomposition.parent == [-1]
+    assert decomposition.depths == [0]
     inv = band_invariants(dia)
     assert inv["bands"] == 1
     assert inv["squares"] == 2
@@ -44,8 +44,7 @@ def test_nested_bands():
     assert [(b.entry, b.exit) for b in decomposition.bands] == [(0, 6), (2, 4)]
     assert decomposition.bands[0].side == (11,)
     assert decomposition.bands[1].side == (6,)
-    assert decomposition.parent == [-1, 0]
-    assert decomposition.depths() == [0, 1]
+    assert decomposition.depths == [0, 1]
 
 
 def test_mirror_pair_collapses():
@@ -76,22 +75,18 @@ def test_stable_free_diagram_has_no_bands():
     assert band_invariants(dia)["bands"] == 0
 
 
-def test_parent_is_innermost_enclosing_band():
-    # the quadratic definition: the narrowest band strictly enclosing b
+def test_depth_counts_enclosing_bands():
+    # the quadratic definition: the number of bands strictly enclosing b
     rng = random.Random(23)
     nested = 0
     for _ in range(500):
         decomposition = extract_bands(build_diagram(random_expression(rng)))
         bands = decomposition.bands
-        expected = []
-        for b in bands:
-            enclosing = [
-                y for y, c in enumerate(bands) if c.entry < b.entry and b.exit < c.exit
-            ]
-            width = lambda y: bands[y].exit - bands[y].entry  # noqa: E731
-            expected.append(min(enclosing, key=width, default=-1))
-        assert decomposition.parent == expected
-        nested += any(p != -1 for p in expected)
+        expected = [
+            sum(1 for c in bands if c.entry < b.entry and b.exit < c.exit) for b in bands
+        ]
+        assert decomposition.depths == expected
+        nested += any(expected)
     assert nested > 10
 
 

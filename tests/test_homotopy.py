@@ -1,10 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from oracles import replay_certificate
 from stallings import homotopy
-from stallings.complexes import get_complex
+from stallings.complexes import ForbiddenRegion, get_complex
+from stallings.diagrams import random_expression
 from stallings.elements import (
     S_IDENTITY,
     parse_gens,
@@ -31,6 +33,8 @@ from stallings.homotopy import (
     swap_adjacent,
     verify_certificate,
 )
+from stallings.pipeline import random_far_loop, run_main_pipeline, run_reduce_demo
+from stallings.rewrite import rewrite_to_kernel_path, zero_sum_words
 from stallings.words import WORD_TO_EGEN, egen_id
 
 GAMMA1 = get_complex("gamma_1")
@@ -369,3 +373,98 @@ def test_certificate_from_json_rejects_malformed_shapes(patch):
 def test_certificate_from_json_rejects_non_objects():
     with pytest.raises(ValueError):
         certificate_from_json([1, 2])
+
+
+def _fuzz_corpus(rng):
+    """Certificates like criterion 8's: rewrites, main-pipeline and band runs.
+
+    Each comes with the forbidden set it was built against.  Long pipeline
+    certificates are left out so that the slow oracle can replay 10^4
+    mutants within the test's time.
+    """
+    region = ForbiddenRegion(X, (S_IDENTITY,), 1)
+    words = [w for w in zero_sum_words(6) if w]
+    bases = [scan((1, 2) * 2), scan((3, 4, 3)), scan((-1, -2, -1, 4))]
+    corpus = []
+    while len(corpus) < 30:
+        cert = rewrite_to_kernel_path(rng.choice(bases), rng.choice(words)).certificate
+        if cert.moves:
+            corpus.append((cert, None))
+    while len(corpus) < 40:
+        cert = run_main_pipeline(*random_far_loop(rng), region=region).certificate
+        if len(cert.moves) <= 40:
+            corpus.append((cert, region))
+    while len(corpus) < 50:
+        factors = random_expression(rng, max_factors=3)
+        cert = run_reduce_demo(factors, region=region).certificate
+        if len(cert.moves) <= 40:
+            corpus.append((cert, region))
+    return corpus
+
+
+def _mutate(rng, cert):
+    """One single-field mutation of a certificate, or None if it has no target."""
+    moves = list(cert.moves)
+    i = rng.randrange(len(moves)) if moves else None
+    what = rng.choice(("pos", "sign", "cell", "drop", "dup", "swap", "path", "result"))
+    if what in ("pos", "drop", "dup", "swap") and i is None:
+        return None
+    if what == "pos":
+        moves[i] = (moves[i][0], moves[i][1] + rng.choice((-1, 1)), *moves[i][2:])
+    elif what == "sign":
+        ins = [j for j, m in enumerate(moves) if m[0] == "ins"]
+        if not ins:
+            return None
+        j = rng.choice(ins)
+        moves[j] = ("ins", moves[j][1], -moves[j][2])
+    elif what == "cell":
+        cells = [j for j, m in enumerate(moves) if m[0] == "cell"]
+        if not cells:
+            return None
+        j = rng.choice(cells)
+        field = rng.randrange(2, 6)  # rid, inv, rot, split
+        move = list(moves[j])
+        move[field] = 1 - move[field] if field == 3 else move[field] + rng.choice((-1, 1))
+        moves[j] = tuple(move)
+    elif what == "drop":
+        del moves[i]
+    elif what == "dup":
+        moves.insert(i, moves[i])
+    elif what == "swap":
+        if len(moves) < 2:
+            return None
+        i = min(i, len(moves) - 2)
+        moves[i], moves[i + 1] = moves[i + 1], moves[i]
+    else:
+        labels = list(getattr(cert, what))
+        op = rng.choice(("edit", "delete", "insert")) if labels else "insert"
+        k = rng.randrange(len(labels) + (op == "insert"))
+        gen = rng.choice((1, -1)) * rng.randint(1, 29)
+        if op == "edit":
+            labels[k] = gen if gen != labels[k] else -gen
+        elif op == "delete":
+            del labels[k]
+        else:
+            labels.insert(k, gen)
+        return dataclasses.replace(cert, **{what: tuple(labels)})
+    return dataclasses.replace(cert, moves=tuple(moves))
+
+
+def test_mutation_fuzz_agrees_with_oracle():
+    rng = random.Random(4242)
+    corpus = _fuzz_corpus(rng)
+    mutants = accepted = 0
+    while mutants < 10_000:
+        cert, forbidden = rng.choice(corpus)
+        mutant = _mutate(rng, cert)
+        if mutant is None:
+            continue
+        mutants += 1
+        res = verify_certificate(mutant, forbidden)
+        ok, reason, swept = replay_certificate(mutant, forbidden)
+        assert res.ok == ok, (mutant, res.reason, reason)
+        if ok:
+            accepted += 1
+            assert res.swept == swept, mutant
+    # most single-field edits break a certificate, and a few still verify
+    assert 0 < accepted < mutants // 10
