@@ -16,7 +16,6 @@ from .complexes import (
     SearchBudgetExceeded,
     ball,
     ball_to_dot,
-    distance_gamma1,
     find_generator_path,
     get_complex,
     neighborhood,

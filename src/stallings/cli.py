@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="", help="basepoint as a word")
     p.add_argument("--word", help="loop labels; omit to run a random batch")
     p.add_argument("--count", type=_nonnegative_int, default=100, help="batch size")
-    p.add_argument("--min-distance", type=_nonnegative_int, default=3,
-                   help="batch mode: vertex distance floor for sampled loops")
+    p.add_argument("--min-distance", type=_nonnegative_int, help="batch mode: vertex"
+                   " distance floor (default: one past the region's base exclusion radius)")
     p.add_argument("--max-level", type=_nonnegative_int, default=8,
                    help="largest stable-letter translation level to try")
     p.set_defaults(handler=cmd_pipeline)
@@ -350,11 +350,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(handler=cmd_normalize)
 
+    parser.set_defaults(subcommands=sub.choices)
     return parser
+
+
+# per subcommand with two modes: the flag that selects the mode, then the
+# flags the mode never reads when that flag is given and when it is absent
+MODE_FLAGS = {
+    "f2p": ("--word", ("--max-len",), ("--base",)),
+    "diagram": ("--expr", ("--seed", "--max-factors"), ()),
+    "reduce-demo": ("--expr", ("--seed", "--max-factors", "--count"),
+                    ("--start", "--budget", "--with-timing")),
+    "pipeline": ("--word", ("--seed", "--count", "--min-distance"),
+                 ("--base", "--max-level", "--with-timing")),
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in MODE_FLAGS:
+        selector, unread_with, unread_without = MODE_FLAGS[args.command]
+        given = getattr(args, selector[2:]) is not None
+        sub = args.subcommands[args.command]
+        for flag in unread_with if given else unread_without:
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest) != sub.get_default(dest):
+                sub.error(f"{flag} is not read {'with' if given else 'without'} {selector}")
     try:
         payload, ok = args.handler(args)
     except (ValueError, KeyError, OSError, SearchBudgetExceeded) as exc:

@@ -21,12 +21,10 @@ from .elements import (
     GEN_VALUES,
     SElement,
     S_IDENTITY,
-    distance_to_identity,
     gen_to_token,
     in_base_group,
     in_kernel_subgroup,
     parse_gens,
-    s_invert,
     s_multiply,
     step,
 )
@@ -211,14 +209,6 @@ def sphere_sizes(dist: dict[SElement, int]) -> list[int]:
     for d in dist.values():
         sizes[d] += 1
     return sizes
-
-
-def distance_gamma1(x: SElement, y: SElement) -> int:
-    """Word metric on the base group: the normal-form length of x^-1 y."""
-    for v in (x, y):
-        if not in_base_group(v):
-            raise ValueError(f"element is not in the base group: {v}")
-    return distance_to_identity(s_multiply(s_invert(x), y))
 
 
 def find_generator_path(

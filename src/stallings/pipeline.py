@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 from .complexes import (
     DEFAULT_BUDGET,
     ForbiddenRegion,
-    distance_gamma1,
     find_generator_path,
     get_complex,
     sphere_complement_components,
@@ -61,6 +60,7 @@ from .homotopy import (
     commute_block,
     contract_kernel_generator_loop,
     convert_letter_pairs,
+    inverse_path,
     stack_stable_conjugations,
     verify_certificate,
 )
@@ -69,6 +69,9 @@ from .words import S_ID
 
 X_COMPLEX = get_complex("x")
 GAMMA_K = get_complex("gamma_k")
+# the radius-1 ball around the identity in `x`; a region never changes after
+# it is built, so every call can share this one
+DEFAULT_REGION = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +123,6 @@ def emit(report) -> str:
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def _default_region(region: ForbiddenRegion | None) -> ForbiddenRegion:
-    """The given region, or the radius-1 ball around the identity in `x`.
-
-    A region with no centers is empty and has length 0, so only None
-    selects the default.
-    """
-    if region is None:
-        return ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
-    return region
-
-
 def far_basepoint(distance: int) -> SElement:
     """A fixed base-group vertex at the given distance from the identity."""
     return scan(tuple((1, 2)[i % 2] for i in range(distance)))
@@ -142,11 +134,9 @@ def base_exclusion_radius(region: ForbiddenRegion) -> int:
     A base-group loop staying strictly outside this radius cannot touch
     the region's trace in the base-group complex.
     """
-    k = 0
-    for v in region.vertices():
-        if in_base_group(v):
-            k = max(k, distance_gamma1(S_IDENTITY, v))
-    return k
+    return max(
+        (distance_to_identity(v) for v in region.vertices() if in_base_group(v)), default=0
+    )
 
 
 def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) -> int:
@@ -172,6 +162,19 @@ def compose_certificates(stages: Sequence[tuple[str, Certificate]]) -> Certifica
         result=certs[-1].result,
         description="; ".join(c.description for c in certs if c.description),
     )
+
+
+def _report(kind, summary, stages, certificate, res, loop_verts, t0, with_timing):
+    """Add the verification fields to a driver's summary and wrap it as a report."""
+    summary.update(
+        verified=res.ok,
+        move_count=len(certificate.moves),
+        swept_vertices=len(res.swept) if res.ok else None,
+        combing_radius=combing_radius(res.swept, loop_verts) if res.ok else None,
+        failure_reason=res.reason,
+    )
+    timing = round(time.monotonic() - t0, 3) if with_timing else None
+    return PipelineReport(kind, res.ok, summary, stages, certificate, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,7 @@ def _innermost_stable_pair(editor: PathEditor) -> tuple[int, int] | None:
 def run_main_pipeline(
     start: SElement,
     labels: Sequence[int],
-    region: ForbiddenRegion | None = None,
+    region: ForbiddenRegion = DEFAULT_REGION,
     max_level: int = 8,
     with_timing: bool = False,
 ) -> PipelineReport:
@@ -224,12 +227,13 @@ def run_main_pipeline(
     """
     t0 = time.monotonic()
     labels = tuple(labels)
-    region = _default_region(region)
     verts = walk(start, labels)
     if verts[-1] != start:
         raise ValueError("path is not a loop")
+    if not in_base_group(start):
+        raise ValueError(f"element is not in the base group: {start}")
     k = base_exclusion_radius(region)
-    min_dist = min(distance_gamma1(S_IDENTITY, v) for v in verts)
+    min_dist = min(map(distance_to_identity, verts))
     if min_dist <= k:
         raise ValueError(
             f"loop reaches distance {min_dist} from the identity; the region"
@@ -243,12 +247,6 @@ def run_main_pipeline(
     stage2 = editor.certificate("convert letter pairs to kernel generators")
     kernel_loop = stage2.result
 
-    level = None
-    reason = None
-    levels_tried = 0
-    stages: tuple[tuple[str, Certificate], ...] = ()
-    composed = None
-    res = None
     for p in range(max_level + 1):
         contractor = PathEditor(X_COMPLEX, start, kernel_loop)
         if produced:
@@ -261,16 +259,10 @@ def run_main_pipeline(
             raise CertificateError(f"contraction at stable level {p} left a path")
         stages = (("rewrite", stage1), ("convert", stage2), ("contract", stage3))
         composed = compose_certificates(stages)
-        levels_tried += 1
         res = verify_certificate(composed, region)
-        if res.ok:
-            level = p
-            break
-        reason = res.reason
-        if not produced:
+        if res.ok or not produced:
             break
 
-    verified = level is not None
     summary = {
         "base": s_to_json(start),
         "loop": "".join(gen_to_token(g) for g in labels),
@@ -283,22 +275,10 @@ def run_main_pipeline(
         "kernel_generator_count": produced,
         "rewrite_cases": dict(sorted(rewrite.cases.items())),
         "fallback_partner_used": rewrite.fallback_partner_used,
-        "stable_level": level,
-        "levels_tried": levels_tried,
-        "verified": verified,
-        "move_count": len(composed.moves),
-        "swept_vertices": len(res.swept) if verified else None,
-        "combing_radius": combing_radius(res.swept, verts) if verified else None,
-        "failure_reason": None if verified else reason,
+        "stable_level": p if res.ok else None,
+        "levels_tried": p + 1,
     }
-    return PipelineReport(
-        kind="main",
-        verified=verified,
-        summary=summary,
-        stages=stages,
-        certificate=composed,
-        timing_seconds=round(time.monotonic() - t0, 3) if with_timing else None,
-    )
+    return _report("main", summary, stages, composed, res, verts, t0, with_timing)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +288,7 @@ def run_main_pipeline(
 def run_reduce_demo(
     factors: Sequence[ConjugateFactor | tuple],
     start: SElement | None = None,
-    region: ForbiddenRegion | None = None,
+    region: ForbiddenRegion = DEFAULT_REGION,
     budget: int = 500_000,
     with_timing: bool = False,
 ) -> PipelineReport:
@@ -329,9 +309,10 @@ def run_reduce_demo(
     diagram = build_diagram(factors)
     decomposition = extract_bands(diagram)
     boundary = diagram.boundary_word()
-    region = _default_region(region)
     if start is None:
         start = far_basepoint(len(boundary) // 2 + region.radius + 2)
+    if not in_base_group(start):
+        raise ValueError(f"element is not in the base group: {start}")
     dilated = ForbiddenRegion(region.spec, region.centers, region.radius + 1)
 
     editor = PathEditor(X_COMPLEX, start, boundary)
@@ -366,7 +347,6 @@ def run_reduce_demo(
     if len(detour_lengths) != len(decomposition.bands):
         raise CertificateError("band eliminations do not match the diagram's bands")
     res = verify_certificate(cert, region)
-    loop_verts = walk(start, boundary)
     summary = {
         "expression": [
             {
@@ -383,21 +363,11 @@ def run_reduce_demo(
         "self_paired_bands": sum(1 for b in decomposition.bands if not b.faces),
         "band_depths": decomposition.depths,
         "detour_lengths": detour_lengths,
-        "basepoint_distance": distance_gamma1(S_IDENTITY, start),
+        "basepoint_distance": distance_to_identity(start),
         "region_radius": region.radius,
-        "verified": res.ok,
-        "move_count": len(cert.moves),
-        "swept_vertices": len(res.swept) if res.ok else None,
-        "combing_radius": combing_radius(res.swept, loop_verts) if res.ok else None,
-        "failure_reason": res.reason,
     }
-    return PipelineReport(
-        kind="reduce",
-        verified=res.ok,
-        summary=summary,
-        stages=(("bands", cert),),
-        certificate=cert,
-        timing_seconds=round(time.monotonic() - t0, 3) if with_timing else None,
+    return _report(
+        "reduce", summary, (("bands", cert),), cert, res, walk(start, boundary), t0, with_timing
     )
 
 
@@ -464,26 +434,23 @@ def random_far_loop(
         )
         if rng.random() < 0.25:
             out = _random_free_word(rng, rng.choice(((1, 2), (3, 4))), 4)
-            labels = out + tuple(-g for g in reversed(out))
+            labels = out + inverse_path(out)
         else:
             u = _random_free_word(rng, (1, 2), rng.randint(1, 2))
             v = _random_free_word(rng, (3, 4), rng.randint(1, 2))
-            labels = (
-                u + v + tuple(-g for g in reversed(u)) + tuple(-g for g in reversed(v))
-            )
+            labels = u + v + inverse_path(u) + inverse_path(v)
         verts = walk(base, labels)
-        if min(distance_gamma1(S_IDENTITY, w) for w in verts) > min_distance - 1:
+        if min(map(distance_to_identity, verts)) >= min_distance:
             return base, labels
     raise RuntimeError("could not sample a loop clearing the distance floor")
 
 
 def _run_batch(kind, count, seed, region, run_one, row_keys) -> dict[str, object]:
-    """Call `run_one(rng, region)` count times; each row keeps `row_keys` of a summary."""
-    region = _default_region(region)
+    """Call `run_one(rng)` count times; each row keeps `row_keys` of a summary."""
     rng = random.Random(seed)
     runs = []
     for index in range(count):
-        summary = run_one(rng, region).summary
+        summary = run_one(rng).summary
         runs.append({"index": index, **{key: summary[key] for key in row_keys}})
     verified = sum(run["verified"] for run in runs)
     return {
@@ -500,12 +467,21 @@ def _run_batch(kind, count, seed, region, run_one, row_keys) -> dict[str, object
 def run_pipeline_batch(
     count: int,
     seed: int = 0,
-    region: ForbiddenRegion | None = None,
-    min_distance: int = 3,
+    region: ForbiddenRegion = DEFAULT_REGION,
+    min_distance: int | None = None,
 ) -> dict[str, object]:
-    """Run the main pipeline on random far loops; merge summaries by index."""
+    """Run the main pipeline on random far loops; merge summaries by index.
 
-    def run_one(rng: random.Random, region: ForbiddenRegion) -> PipelineReport:
+    Loop vertices keep `min_distance` from the identity; it defaults to, and
+    may not go below, one past the region's `base_exclusion_radius`.
+    """
+    floor = base_exclusion_radius(region) + 1
+    if min_distance is None:
+        min_distance = floor
+    elif min_distance < floor:
+        raise ValueError(f"min_distance must be at least {floor}, got {min_distance}")
+
+    def run_one(rng: random.Random) -> PipelineReport:
         start, labels = random_far_loop(rng, min_distance=min_distance)
         return run_main_pipeline(start, labels, region=region)
 
@@ -524,12 +500,12 @@ def run_pipeline_batch(
 def run_reduce_batch(
     count: int,
     seed: int = 0,
-    region: ForbiddenRegion | None = None,
+    region: ForbiddenRegion = DEFAULT_REGION,
     max_factors: int = 4,
 ) -> dict[str, object]:
     """Run the band-elimination demo on random expressions; merge by index."""
 
-    def run_one(rng: random.Random, region: ForbiddenRegion) -> PipelineReport:
+    def run_one(rng: random.Random) -> PipelineReport:
         return run_reduce_demo(random_expression(rng, max_factors=max_factors), region=region)
 
     batch = _run_batch(

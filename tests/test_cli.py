@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from stallings.cli import build_parser, main
+from stallings.cli import MODE_FLAGS, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -340,6 +340,46 @@ def test_source_has_no_asserts():
                      id="ball-seed"),
         pytest.param(("diagram", "bands", "--format", "dot"), "unrecognized arguments",
                      id="diagram-format"),
+        pytest.param(("pipeline", "--count", "5", "--min-distance", "1"),
+                     "min_distance must be at least 3", id="pipeline-min-distance-below-floor"),
+        pytest.param(("pipeline", "--base", "s", "--word", "acAC"), "not in the base group",
+                     id="pipeline-base-not-in-base-group"),
+        pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--start", "s a a a a a a"),
+                     "not in the base group", id="reduce-demo-start-not-in-base-group"),
+        # a flag the selected mode never reads
+        pytest.param(("f2p", "--word", "acAC", "--max-len", "3"),
+                     "--max-len is not read with --word", id="f2p-word-max-len"),
+        pytest.param(("f2p", "--base", "aaa"), "--base is not read without --word",
+                     id="f2p-suite-base"),
+        pytest.param(("diagram", "bands", "--expr", '[["", 28, 1]]', "--seed", "3"),
+                     "--seed is not read with --expr", id="diagram-expr-seed"),
+        pytest.param(("diagram", "bands", "--expr", '[["", 28, 1]]', "--max-factors", "2"),
+                     "--max-factors is not read with --expr", id="diagram-expr-max-factors"),
+        pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--seed", "3"),
+                     "--seed is not read with --expr", id="reduce-demo-expr-seed"),
+        pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--max-factors", "2"),
+                     "--max-factors is not read with --expr", id="reduce-demo-expr-max-factors"),
+        pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--count", "2"),
+                     "--count is not read with --expr", id="reduce-demo-expr-count"),
+        pytest.param(("reduce-demo", "--count", "2", "--start", "aaaa"),
+                     "--start is not read without --expr", id="reduce-demo-batch-start"),
+        pytest.param(("reduce-demo", "--count", "2", "--budget", "1"),
+                     "--budget is not read without --expr", id="reduce-demo-batch-budget"),
+        pytest.param(("reduce-demo", "--count", "2", "--with-timing"),
+                     "--with-timing is not read without --expr",
+                     id="reduce-demo-batch-with-timing"),
+        pytest.param(("pipeline", "--base", "aaa", "--word", "acAC", "--seed", "3"),
+                     "--seed is not read with --word", id="pipeline-word-seed"),
+        pytest.param(("pipeline", "--base", "aaa", "--word", "acAC", "--count", "2"),
+                     "--count is not read with --word", id="pipeline-word-count"),
+        pytest.param(("pipeline", "--base", "aaa", "--word", "acAC", "--min-distance", "4"),
+                     "--min-distance is not read with --word", id="pipeline-word-min-distance"),
+        pytest.param(("pipeline", "--count", "2", "--base", "aaa"),
+                     "--base is not read without --word", id="pipeline-batch-base"),
+        pytest.param(("pipeline", "--count", "2", "--max-level", "0"),
+                     "--max-level is not read without --word", id="pipeline-batch-max-level"),
+        pytest.param(("pipeline", "--count", "2", "--with-timing"),
+                     "--with-timing is not read without --word", id="pipeline-batch-with-timing"),
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
         pytest.param(("verify-cert", {"moves": [["ins", 0]]}), "malformed move",
                      id="cert-truncated-move"),
@@ -407,6 +447,12 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert sum(len(f & SHARED_FLAGS) for f in flags.values()) == 19
 
 
+def test_mode_flags_are_flags_of_their_subcommand():
+    # the mode table cannot name a flag the parser does not have
+    for command, (selector, unread_with, unread_without) in MODE_FLAGS.items():
+        assert {selector, *unread_with, *unread_without} <= SUBCOMMAND_FLAGS[command]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -427,41 +473,63 @@ def test_with_timing_adds_only_the_seconds(argv, capsys):
 # sha256 of stdout, taken before the simplifications that must keep reports
 # byte-identical; a digest that moves means a report changed
 REPORT_DIGESTS = [
-    pytest.param(("verify-identities",),
+    pytest.param(("verify-identities",), 0,
                  "0dee998024d908ba87c44eb0f55f77dff93c4614302bf262c58f33dd014fb677",
                  id="verify-identities"),
-    pytest.param(("dump-egen-table",),
+    pytest.param(("dump-egen-table",), 0,
                  "5086bf9b7b24568ee5bf000ec8d9d5a843fb79215d9f2ce3c49294f10affa0a9",
                  id="dump-egen-table"),
-    pytest.param(("ball", "--complex", "gamma_1", "--radius", "4"),
+    pytest.param(("ball", "--complex", "gamma_1", "--radius", "4"), 0,
                  "fb03d49332f705808f148a1217cc0de62699cc51eadeae8deac5cf7dfb5e5388",
                  id="ball-gamma_1"),
-    pytest.param(("ball", "--complex", "free_ab", "--radius", "3", "--format", "dot"),
+    pytest.param(("ball", "--complex", "free_ab", "--radius", "3", "--format", "dot"), 0,
                  "19f8dc1e5446d3379b7742e141116aa05ef1043943c7323f11897a1e2f528d14",
                  id="ball-free_ab-dot"),
-    pytest.param(("ball", "--complex", "gamma_2", "--radius", "2", "--format", "dot"),
+    pytest.param(("ball", "--complex", "gamma_2", "--radius", "2", "--format", "dot"), 0,
                  "b6fdd73326ecbd141de0225ae022ae33f720a6daa721a63a8fc95a8c43dd5785",
                  id="ball-gamma_2-dot"),
-    pytest.param(("diagram", "bands", "--expr", '[["", 28, 1], ["s d", 33, 1]]'),
+    pytest.param(("diagram", "bands", "--expr", '[["", 28, 1], ["s d", 33, 1]]'), 0,
                  "2202634c3d43e252d33b69eb4eb874d0d30a553be84ece5a3d21db63fbe998a4",
                  id="diagram-bands"),
-    pytest.param(("diagram", "render", "--seed", "7"),
+    pytest.param(("diagram", "render", "--seed", "7"), 0,
                  "4c7a130ff54e1e65bf6bb512852c84eb182072aabb33c63d11deeb4586c1fde3",
                  id="diagram-render"),
-    pytest.param(("diagram", "build", "--seed", "7"),
+    pytest.param(("diagram", "build", "--seed", "7"), 0,
                  "d38d4f3c9c5e28ffb98728ae376f5e16fb90e6f246da653e6373998545742a85",
                  id="diagram-build"),
-    pytest.param(("reduce-demo", "--count", "50", "--seed", "4"),
+    pytest.param(("reduce-demo", "--count", "50", "--seed", "4"), 0,
                  "a422d160b6c796eeb739b882659ebbbf499d4e9e57f24a8819ae31a95e947e06",
                  id="reduce-demo-batch"),
-    pytest.param(("pipeline", "--count", "100", "--seed", "9"),
+    pytest.param(("pipeline", "--count", "100", "--seed", "9"), 0,
                  "1e272bc475cb927637b3a551ee026950dc4b82be2c5e243f71cd1e6bd9e648f8",
                  id="pipeline-batch"),
+    pytest.param(("pipeline", "--base", "aaa", "--word", "acAC", "--radius", "1"), 0,
+                 "2895d953e937f1456a1538e9cc21ec52bab72ff8d0d59179d0c379674ea372f8",
+                 id="pipeline-single"),
+    pytest.param(("pipeline", "--base", "abacdc", "--word", "ABAbabCDCdcdBABabaDCDcdc"), 0,
+                 "eae67ee73934b86c385dff381a9fa484ccaf53292a440467028479458afbbb71",
+                 id="pipeline-level-1"),
+    pytest.param(("pipeline", "--base", "abacdc", "--word", "ABAbabCDCdcdBABabaDCDcdc",
+                  "--max-level", "0"), 1,
+                 "17e2b9a0a6feaf91da82f41627ebe4c7b61572056875559d700a7719f5dfedf5",
+                 id="pipeline-fails-verification"),
+    pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]'), 0,
+                 "f956ad57f849086547578bb39caa4ab4adfd4984ee7f05ec859cd03baa12e345",
+                 id="reduce-demo-one-band"),
+    pytest.param(("reduce-demo", "--expr", '[["", 28, 1], ["s d", 33, 1]]'), 0,
+                 "6277f4332991f9f9ca0130f9b8524a5bfc14bac027d8410ddc789bd48cf347e7",
+                 id="reduce-demo-three-bands"),
+    pytest.param(("f2p", "--base", "aaa", "--word", "acAC", "--m", "2"), 0,
+                 "6edd4f04ed98cf9a2b95ab9f5ffed7af5329709d808c78c2bd4c2f808ff2fb18",
+                 id="f2p-single"),
+    pytest.param(("f2p", "--max-len", "4", "--m", "2"), 0,
+                 "3edb4384501bf6c11091ea2e3ff5bb74ba5fb941722584562d5619c90b4dab71",
+                 id="f2p-suite"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", REPORT_DIGESTS)
-def test_report_digests_are_pinned(argv, digest, capsys):
+@pytest.mark.parametrize("argv, exit_code, digest", REPORT_DIGESTS)
+def test_report_digests_are_pinned(argv, exit_code, digest, capsys):
     code, out = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,13 +10,20 @@ from stallings.complexes import (
     SearchBudgetExceeded,
     ball,
     ball_to_dot,
-    distance_gamma1,
     get_complex,
     neighborhood,
     sphere_complement_components,
     sphere_sizes,
 )
-from stallings.elements import S_IDENTITY, s_from_word, s_multiply, scan, step
+from stallings.elements import (
+    S_IDENTITY,
+    distance_to_identity,
+    s_from_word,
+    s_invert,
+    s_multiply,
+    scan,
+    step,
+)
 
 
 def test_relator_table_shape():
@@ -95,16 +102,16 @@ def test_budget_is_enforced():
         ball(get_complex("gamma_1"), 4, budget=100)
 
 
-def test_distance_gamma1_matches_bfs():
+def test_base_group_distance_matches_bfs():
     spec = get_complex("gamma_1")
     dist = ball(spec, 4)
     for v, d in dist.items():
-        assert distance_gamma1(S_IDENTITY, v) == d
+        assert distance_to_identity(v) == d
     # distances from a shifted basepoint agree with a fresh search
     base = s_from_word("abC")
     shifted = ball(spec, 3, start=base)
     for v, d in shifted.items():
-        assert distance_gamma1(base, v) == d
+        assert distance_to_identity(s_multiply(s_invert(base), v)) == d
 
 
 def test_neighborhood_multisource():

@@ -7,7 +7,6 @@ from oracles import replay_certificate
 from stallings.complexes import (
     SQUARE_REL_IDS,
     ForbiddenRegion,
-    distance_gamma1,
     find_generator_path,
     get_complex,
 )
@@ -49,7 +48,7 @@ def test_component_distance_and_basepoint():
     assert distance_to_identity(x) == 2
     assert distance_to_identity(scan((5, 5))) == 2
     assert far_basepoint(0) == S_IDENTITY
-    assert distance_gamma1(S_IDENTITY, far_basepoint(5)) == 5
+    assert distance_to_identity(far_basepoint(5)) == 5
 
 
 def test_base_exclusion_radius():
@@ -195,10 +194,10 @@ def test_random_far_loop_properties():
         base, labels = random_far_loop(rng)
         assert 0 < len(labels) <= 8
         v = base
-        low = distance_gamma1(S_IDENTITY, base)
+        low = distance_to_identity(base)
         for gen in labels:
             v = scan((gen,), start=v)
-            low = min(low, distance_gamma1(S_IDENTITY, v))
+            low = min(low, distance_to_identity(v))
         assert v == base
         assert low >= 3
 
@@ -210,6 +209,16 @@ def test_pipeline_batch_merges_by_index():
     assert sum(report["levels"].values()) == 10
     again = run_pipeline_batch(10, seed=3)
     assert emit(report) == emit(again)
+
+
+def test_pipeline_batch_floor_follows_the_region():
+    # a radius-2 ball reaches base-group distance 4, so loops start at 5
+    region = ForbiddenRegion(X, (S_IDENTITY,), 2)
+    assert base_exclusion_radius(region) == 4
+    report = run_pipeline_batch(5, seed=1, region=region)
+    assert report["all_verified"]
+    with pytest.raises(ValueError, match="min_distance must be at least 5"):
+        run_pipeline_batch(5, region=region, min_distance=4)
 
 
 def test_reduce_batch_verifies():
