@@ -26,6 +26,7 @@ from .elements import (
     in_kernel_subgroup,
     parse_gens,
     s_multiply,
+    s_parts,
     step,
 )
 from .words import EGEN_COUNT, EGEN_WORDS, egen_id, word_is_over
@@ -335,13 +336,13 @@ def sphere_complement_components(
 # ---------------------------------------------------------------------------
 
 def _vertex_name(v: SElement) -> str:
-    return f"{v.ab or '1'}|{v.cd or '1'}|{v.tail or '1'}"
+    return "|".join(part or "1" for part in s_parts(v))
 
 
 def ball_to_dot(spec: ComplexSpec, dist: dict[SElement, int]) -> str:
     """Render a search result as an undirected labelled graph."""
     lines = ["graph {", "  node [shape=circle, fontsize=10];"]
-    for v, d in sorted(dist.items()):
+    for v, d in sorted(dist.items(), key=lambda item: s_parts(item[0])):
         lines.append(f'  "{_vertex_name(v)}" [xlabel="{d}"];')
     for v in dist:
         for gen in spec.gens:

@@ -1,20 +1,25 @@
-"""Normal forms in the ambient group generated by a, b, c, d and s.
+"""Normal forms in Stallings' group S, generated by a, b, c, d and s.
 
-The ambient group splits as K x| F(a,s): the kernel K is normal, the free
-group on {a, s} is a complement, and conjugation by a tail word t in F(a,s)
-acts on K through the a-exponent of t only (s centralizes K).  Every element
-is therefore a unique pair (k, tail) with k in K stored as a reduced word
-pair and tail a reduced word over {a, s}.
+S splits as K x| F(a,s), where s centralizes the kernel K.  The published
+normal form is the pair (k, tail): k = (ab, cd) in K as reduced words, and
+tail a reduced word over {a, s}.
+
+A vertex is stored as its images under two homomorphisms: S -> G =
+F(a,b) x F(c,d), which kills s (well defined because s centralizes K), and
+the quotient S -> S/K = F(a,s).  They are jointly injective, since an
+element in both kernels lies in K, where the first map is the identity.  So
+a vertex is a triple (p_ab, cd, tail) of reduced words with es(p_ab) +
+es(cd) = m, the a-exponent of the tail, and p_ab = ab * a^m.  `s_parts`
+gives the published form; `validate_s` checks published parts and stores
+them.
 
 Generators are signed integer ids as in `words`: letters 1..4, the stable
 letter 5, kernel generators 6..29.  `step` right-multiplies a normal form by
 a signed generator's value from the fixed table `GEN_VALUES`; it is the
 primitive that graph searches are built on.
 
-`s_multiply` is the one transition kernel under `step`, the BFS and the
-verifier.  Both factors are in normal form, so it multiplies only the parts
-the right factor has, each with the seam-only `reduce_mul`, conjugates only
-by a non-zero a-exponent, and builds the result without re-checking it.
+`s_multiply`, the one transition kernel under `step`, the BFS and the
+verifier, is three independent seam reductions, one per projection.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ TAIL_LETTERS = "asAS"
 
 
 class SElement(NamedTuple):
-    """Normal form (k, tail): k = (ab, cd) in the kernel, tail in F(a,s)."""
+    """A vertex of S as its projections to F(a,b), F(c,d) and S/K = F(a,s)."""
 
-    ab: str
+    p_ab: str
     cd: str
     tail: str
 
@@ -54,19 +59,6 @@ S_IDENTITY = SElement("", "", "")
 
 # SElement from parts already in normal form, skipping NamedTuple.__new__
 _new_s = tuple.__new__
-
-
-def validate_s(x: SElement) -> SElement:
-    """Check the normal-form invariants; returns x for chaining."""
-    if not (word_is_over(x.ab, "abAB") and is_reduced(x.ab)):
-        raise ValueError(f"bad ab part: {x.ab!r}")
-    if not (word_is_over(x.cd, "cdCD") and is_reduced(x.cd)):
-        raise ValueError(f"bad cd part: {x.cd!r}")
-    if exponent_sum(x.ab) + exponent_sum(x.cd) != 0:
-        raise ValueError(f"k part is outside the kernel: {x.ab!r}, {x.cd!r}")
-    if not (word_is_over(x.tail, TAIL_LETTERS) and is_reduced(x.tail)):
-        raise ValueError(f"bad tail: {x.tail!r}")
-    return x
 
 
 def a_exponent(tail: str) -> int:
@@ -78,11 +70,23 @@ def a_power(m: int) -> str:
     return "a" * m if m >= 0 else "A" * (-m)
 
 
-def conjugate_ab(ab: str, m: int) -> str:
-    """a^m * ab * a^-m as a reduced word."""
-    if m == 0 or not ab:
-        return ab
-    return reduce_mul(reduce_mul(a_power(m), ab), a_power(-m))
+def validate_s(ab: str, cd: str, tail: str) -> SElement:
+    """Check the published parts (k = (ab, cd), tail) and store them as a vertex."""
+    if not (word_is_over(ab, "abAB") and is_reduced(ab)):
+        raise ValueError(f"bad ab part: {ab!r}")
+    if not (word_is_over(cd, "cdCD") and is_reduced(cd)):
+        raise ValueError(f"bad cd part: {cd!r}")
+    if exponent_sum(ab) + exponent_sum(cd) != 0:
+        raise ValueError(f"k part is outside the kernel: {ab!r}, {cd!r}")
+    if not (word_is_over(tail, TAIL_LETTERS) and is_reduced(tail)):
+        raise ValueError(f"bad tail: {tail!r}")
+    return SElement(reduce_mul(ab, a_power(a_exponent(tail))), cd, tail)
+
+
+def s_parts(x: SElement) -> tuple[str, str, str]:
+    """The published form (ab, cd, tail) of a vertex: ab = p_ab * a^-m."""
+    p_ab, cd, tail = x
+    return reduce_mul(p_ab, a_power(-a_exponent(tail))), cd, tail
 
 
 def in_base_group(x: SElement) -> bool:
@@ -90,21 +94,27 @@ def in_base_group(x: SElement) -> bool:
     return word_is_over(x.tail, "aA")
 
 
+def check_base_group(x: SElement) -> None:
+    """Raise ValueError, naming x's published parts, unless x is in the base group."""
+    if not in_base_group(x):
+        ab, cd, tail = s_parts(x)
+        raise ValueError(
+            f"element is not in the base group: SElement(ab={ab!r}, cd={cd!r}, tail={tail!r})"
+        )
+
+
 def in_kernel_subgroup(x: SElement) -> bool:
     return x.tail == ""
 
 
 def g_to_s(g: GElement) -> SElement:
-    """Embed the direct product: split off the a-power carried by es(g)."""
-    m = g.exponent_sum()
-    k = g * GElement(a_power(-m), "")
-    return SElement(k.ab, k.cd, a_power(m))
+    """Embed the direct product: the tail is the a-power carried by es(g)."""
+    return SElement(g.ab, g.cd, a_power(g.exponent_sum()))
 
 
 def s_to_g(x: SElement) -> GElement:
-    if not in_base_group(x):
-        raise ValueError(f"element is not in the base group: {x}")
-    return GElement(x.ab, x.cd) * GElement(x.tail, "")
+    check_base_group(x)
+    return GElement(x.p_ab, x.cd)
 
 
 # ---------------------------------------------------------------------------
@@ -112,43 +122,27 @@ def s_to_g(x: SElement) -> GElement:
 # ---------------------------------------------------------------------------
 
 def s_multiply(x: SElement, y: SElement) -> SElement:
-    """(k1, t1)(k2, t2) = (k1 * t1 k2 t1^-1, t1 t2).
-
-    Only the parts y has are multiplied: an empty part of y leaves x's part
-    as it is (a kernel generator has no tail; a, s and their inverses have
-    only a tail).  The a-exponent of t1 is counted only when k2 has an ab
-    part, and that part is conjugated only when the exponent is non-zero.
-    """
-    ab, cd, tail = x
+    """Product of two vertices, projection by projection."""
+    p_ab, cd, tail = x
     y_ab, y_cd, y_tail = y
-    if y_ab:
-        m = a_exponent(tail)
-        ab = reduce_mul(ab, conjugate_ab(y_ab, m) if m else y_ab)
-    if y_cd:
-        cd = reduce_mul(cd, y_cd)
-    if y_tail:
-        tail = reduce_mul(tail, y_tail)
-    return _new_s(SElement, (ab, cd, tail))
+    return _new_s(
+        SElement, (reduce_mul(p_ab, y_ab), reduce_mul(cd, y_cd), reduce_mul(tail, y_tail))
+    )
 
 
 def s_invert(x: SElement) -> SElement:
-    """(k, t)^-1 = (t^-1 k^-1 t, t^-1)."""
-    m = a_exponent(x.tail)
-    return SElement(
-        conjugate_ab(invert_word(x.ab), -m),
-        invert_word(x.cd),
-        invert_word(x.tail),
-    )
+    return SElement(invert_word(x.p_ab), invert_word(x.cd), invert_word(x.tail))
 
 
 def distance_to_identity(v: SElement) -> int:
     """Length of a normal form: the word-metric distance from the identity.
 
-    The first-factor part and the tail share the letter a, so they merge
-    before counting.  Exact on base-group vertices; elsewhere it is a
-    word-length bound.
+    The published first-factor part and the tail share the letter a, so
+    they merge before counting.  Exact on base-group vertices; elsewhere it
+    is a word-length bound.
     """
-    return len(reduce_mul(v.ab, v.tail)) + len(v.cd)
+    ab, cd, tail = s_parts(v)
+    return len(reduce_mul(ab, tail)) + len(cd)
 
 
 def _build_gen_values() -> dict[int, SElement]:
@@ -245,7 +239,8 @@ def s_from_word(word: str) -> SElement:
 # ---------------------------------------------------------------------------
 
 def s_to_json(x: SElement) -> dict[str, object]:
-    return {"k": {"ab": x.ab, "cd": x.cd}, "tail": x.tail}
+    ab, cd, tail = s_parts(x)
+    return {"k": {"ab": ab, "cd": cd}, "tail": tail}
 
 
 def s_from_json(data: dict[str, object]) -> SElement:
@@ -254,4 +249,4 @@ def s_from_json(data: dict[str, object]) -> SElement:
     parts = (data["k"].get("ab"), data["k"].get("cd"), data.get("tail"))
     if not all(isinstance(p, str) for p in parts):
         raise ValueError(f"malformed normal form: {data!r}")
-    return validate_s(SElement(*parts))
+    return validate_s(*parts)

@@ -42,6 +42,7 @@ from .diagrams import ConjugateFactor, build_diagram, extract_bands, random_expr
 from .elements import (
     S_IDENTITY,
     SElement,
+    check_base_group,
     distance_to_identity,
     gen_to_token,
     in_base_group,
@@ -225,13 +226,14 @@ def run_main_pipeline(
     verification of the composed certificate as the oracle, so the
     reported level is minimal for this contraction scheme.
     """
+    if max_level < 0:
+        raise ValueError(f"max_level must be nonnegative, got {max_level}")
     t0 = time.monotonic()
     labels = tuple(labels)
     verts = walk(start, labels)
     if verts[-1] != start:
         raise ValueError("path is not a loop")
-    if not in_base_group(start):
-        raise ValueError(f"element is not in the base group: {start}")
+    check_base_group(start)
     k = base_exclusion_radius(region)
     min_dist = min(map(distance_to_identity, verts))
     if min_dist <= k:
@@ -311,8 +313,7 @@ def run_reduce_demo(
     boundary = diagram.boundary_word()
     if start is None:
         start = far_basepoint(len(boundary) // 2 + region.radius + 2)
-    if not in_base_group(start):
-        raise ValueError(f"element is not in the base group: {start}")
+    check_base_group(start)
     dilated = ForbiddenRegion(region.spec, region.centers, region.radius + 1)
 
     editor = PathEditor(X_COMPLEX, start, boundary)

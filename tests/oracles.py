@@ -3,11 +3,16 @@
 Deliberately slow and simple: certificates are replayed by slicing label
 tuples, with every vertex recomputed from scratch after each move.  Vertices
 come from the reference product below, not from the library's `step`, so
-the replay does not share the library's transition kernel.
+the replay does not share the library's transition kernel.  Nor does it
+share its representation: the oracle works in the published (k, tail) form
+and converts only at its edges, through `s_parts` and `s_from_json`.
 """
 
+from functools import lru_cache
+from typing import NamedTuple
+
 from stallings.complexes import get_complex
-from stallings.elements import SElement
+from stallings.elements import s_from_json, s_parts
 from stallings.homotopy import inverse_path, relator_form
 from stallings.words import (
     EGEN_FIRST_ID,
@@ -19,6 +24,14 @@ from stallings.words import (
 )
 
 
+class Published(NamedTuple):
+    """The published normal form (k, tail), k = (ab, cd) in the kernel."""
+
+    ab: str
+    cd: str
+    tail: str
+
+
 def _a_power(m):
     return "a" * m if m >= 0 else "A" * -m
 
@@ -26,36 +39,53 @@ def _a_power(m):
 def reference_multiply(x, y):
     """(k1, t1)(k2, t2) = (k1 * a^m k2 a^-m, t1 t2), m the a-exponent of t1.
 
-    Every part of y is multiplied, the conjugation is spelled out with
-    explicit a-powers, and each concatenation is freely reduced from scratch.
+    Both factors are (ab, cd, tail) triples in the published form.  Every
+    part of y is multiplied, the conjugation is spelled out with explicit
+    a-powers, and each concatenation is freely reduced from scratch.
     """
-    power = _a_power(x.tail.count("a") - x.tail.count("A"))
-    return SElement(
-        reduce_word(x.ab + power + y.ab + invert_word(power)),
-        reduce_word(x.cd + y.cd),
-        reduce_word(x.tail + y.tail),
+    ab1, cd1, tail1 = x
+    ab2, cd2, tail2 = y
+    power = _a_power(tail1.count("a") - tail1.count("A"))
+    return Published(
+        reduce_word(ab1 + power + ab2 + invert_word(power)),
+        reduce_word(cd1 + cd2),
+        reduce_word(tail1 + tail2),
     )
 
 
 def generator_value(gen):
-    """Normal form of a signed generator, from its defining word."""
+    """Published normal form of a signed generator, from its defining word."""
     if abs(gen) == S_ID:
-        return SElement("", "", "s" if gen > 0 else "S")
+        return Published("", "", "s" if gen > 0 else "S")
     word = ID_LETTERS[abs(gen)] if abs(gen) < S_ID else EGEN_WORDS[abs(gen) - EGEN_FIRST_ID]
     if gen < 0:
         word = invert_word(word)
     power = _a_power(sum(1 if ch.islower() else -1 for ch in word))
     ab = "".join(ch for ch in word if ch in "abAB")
     cd = "".join(ch for ch in word if ch in "cdCD")
-    return SElement(reduce_word(ab + invert_word(power)), reduce_word(cd), power)
+    return Published(reduce_word(ab + invert_word(power)), reduce_word(cd), power)
 
 
 def reference_step(x, gen):
     return reference_multiply(x, generator_value(gen))
 
 
+@lru_cache(maxsize=1 << 16)
+def _library_vertex(v):
+    """The library vertex of a published form; replays revisit the same vertices."""
+    return s_from_json({"k": {"ab": v.ab, "cd": v.cd}, "tail": v.tail})
+
+
+def _to_library(verts):
+    return frozenset(map(_library_vertex, verts))
+
+
 def replay_certificate(cert, forbidden=None):
-    """Returns (ok, reason, swept) computed independently of the library."""
+    """Returns (ok, reason, swept) computed independently of the library.
+
+    The swept set holds library vertices, converted from the oracle's own
+    form once, after the replay.
+    """
     spec = get_complex(cert.complex_name)
     gens = set(spec.gens)
     if callable(forbidden) or forbidden is None:
@@ -63,8 +93,10 @@ def replay_certificate(cert, forbidden=None):
     else:
         blocked = lambda v: v in forbidden  # noqa: E731
 
+    start = Published(*s_parts(cert.start))
+
     def vertices(labels):
-        verts = [cert.start]
+        verts = [start]
         for g in labels:
             verts.append(reference_step(verts[-1], g))
         return verts
@@ -79,32 +111,33 @@ def replay_certificate(cert, forbidden=None):
         if kind == "ins":
             _, pos, gen = move
             if not (0 <= pos <= len(labels) and abs(gen) in gens):
-                return False, f"move {mi} invalid", frozenset(swept)
+                return False, f"move {mi} invalid", _to_library(swept)
             labels = labels[:pos] + (gen, -gen) + labels[pos:]
         elif kind == "del":
             _, pos = move
             if not (0 <= pos < len(labels) - 1 and labels[pos + 1] == -labels[pos]):
-                return False, f"move {mi} invalid", frozenset(swept)
+                return False, f"move {mi} invalid", _to_library(swept)
             labels = labels[:pos] + labels[pos + 2 :]
         elif kind == "cell":
             _, pos, rid, inv, rot, split = move
             if rid not in spec.relator_ids or inv not in (0, 1):
-                return False, f"move {mi} invalid", frozenset(swept)
+                return False, f"move {mi} invalid", _to_library(swept)
             if not 0 <= rot < len(relator_form(rid, 0, 0)):
-                return False, f"move {mi} invalid", frozenset(swept)
+                return False, f"move {mi} invalid", _to_library(swept)
             r = relator_form(rid, inv, rot)
             if not (0 <= split <= len(r) and 0 <= pos <= len(labels) - split):
-                return False, f"move {mi} invalid", frozenset(swept)
+                return False, f"move {mi} invalid", _to_library(swept)
             if labels[pos : pos + split] != r[:split]:
-                return False, f"move {mi} invalid", frozenset(swept)
+                return False, f"move {mi} invalid", _to_library(swept)
             labels = labels[:pos] + inverse_path(r[split:]) + labels[pos + split :]
         else:
-            return False, f"move {mi} invalid", frozenset(swept)
+            return False, f"move {mi} invalid", _to_library(swept)
         verts = vertices(labels)
         assert verts[-1] == end, "a move changed the endpoint"
         swept.update(verts)
+    swept = _to_library(swept)
     if labels != tuple(cert.result):
-        return False, "result mismatch", frozenset(swept)
+        return False, "result mismatch", swept
     if blocked is not None and any(blocked(v) for v in swept):
-        return False, "forbidden vertex swept", frozenset(swept)
-    return True, None, frozenset(swept)
+        return False, "forbidden vertex swept", swept
+    return True, None, swept

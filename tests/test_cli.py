@@ -381,6 +381,9 @@ def test_source_has_no_asserts():
         pytest.param(("pipeline", "--count", "2", "--with-timing"),
                      "--with-timing is not read without --word", id="pipeline-batch-with-timing"),
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
+        # reduced after conversion to the stored F(a,b) projection, but not canonical
+        pytest.param(("verify-cert", {"start": {"k": {"ab": "baA", "cd": "C"}, "tail": "a"}}),
+                     "bad ab part: 'baA'", id="cert-start-not-canonical"),
         pytest.param(("verify-cert", {"moves": [["ins", 0]]}), "malformed move",
                      id="cert-truncated-move"),
         pytest.param(("verify-cert", {"moves": [["cell", False, 0, False, False, 2]]}),
@@ -488,6 +491,9 @@ REPORT_DIGESTS = [
     pytest.param(("ball", "--complex", "gamma_2", "--radius", "2", "--format", "dot"), 0,
                  "b6fdd73326ecbd141de0225ae022ae33f720a6daa721a63a8fc95a8c43dd5785",
                  id="ball-gamma_2-dot"),
+    pytest.param(("ball", "--complex", "x", "--radius", "2", "--format", "dot"), 0,
+                 "b847466f34a35fb574758df500d89754959b27d2d4f77831c607478fe00e4055",
+                 id="ball-x-dot"),
     pytest.param(("diagram", "bands", "--expr", '[["", 28, 1], ["s d", 33, 1]]'), 0,
                  "2202634c3d43e252d33b69eb4eb874d0d30a553be84ece5a3d21db63fbe998a4",
                  id="diagram-bands"),

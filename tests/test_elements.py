@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from stallings.elements import (
     S_IDENTITY,
     a_exponent,
     a_power,
-    conjugate_ab,
     g_to_s,
     gen_to_token,
     in_base_group,
@@ -19,6 +19,7 @@ from stallings.elements import (
     s_from_word,
     s_invert,
     s_multiply,
+    s_parts,
     s_to_g,
     s_to_json,
     scan,
@@ -44,12 +45,12 @@ def _random_word(rng, length, letters="abcdABCDsS"):
 
 def test_normal_form_examples():
     assert s_from_word("") == S_IDENTITY
-    assert s_from_word("a") == SElement("", "", "a")
-    assert s_from_word("b") == SElement("bA", "", "a")
-    assert s_from_word("c") == SElement("A", "c", "a")
-    assert s_from_word("abs") == SElement("abAA", "", "aas")
-    assert s_from_word("bA") == SElement("bA", "", "")
-    assert s_from_word("aC") == SElement("a", "C", "")
+    assert s_parts(s_from_word("a")) == ("", "", "a")
+    assert s_parts(s_from_word("b")) == ("bA", "", "a")
+    assert s_parts(s_from_word("c")) == ("A", "c", "a")
+    assert s_parts(s_from_word("abs")) == ("abAA", "", "aas")
+    assert s_parts(s_from_word("bA")) == ("bA", "", "")
+    assert s_parts(s_from_word("aC")) == ("a", "C", "")
 
 
 def test_stable_letter_centralizes_kernel():
@@ -63,7 +64,7 @@ def test_stable_letter_does_not_commute_with_letters():
     assert s_from_word("sa") != s_from_word("as")
     # but s b a^-1 = b a^-1 s, since b a^-1 is in the kernel
     assert s_from_word("sbA") == s_from_word("bAs")
-    assert s_from_word("sbA") == SElement("bA", "", "s")
+    assert s_parts(s_from_word("sbA")) == ("bA", "", "s")
 
 
 def test_factor_commutators_collapse():
@@ -80,7 +81,7 @@ def test_scan_matches_group_multiplication():
         w2 = _random_word(rng, rng.randrange(0, 10))
         x1, x2 = s_from_word(w1), s_from_word(w2)
         assert s_from_word(w1 + w2) == s_multiply(x1, x2)
-        validate_s(x1)
+        assert validate_s(*s_parts(x1)) == x1
 
 
 def test_inverse_and_identity():
@@ -107,9 +108,9 @@ def test_step_by_kernel_generators():
     # conjugation through a nontrivial tail
     x = s_from_word("a")
     y = step(x, token_to_gen("e5"))  # e5 = bC
-    assert y == SElement("abA", "C", "a")
+    assert s_parts(y) == ("abA", "C", "a")
     z = step(s_from_word("s"), token_to_gen("e5"))
-    assert z == SElement("b", "C", "s")
+    assert s_parts(z) == ("b", "C", "s")
 
 
 def test_step_agrees_with_word_scan():
@@ -150,32 +151,35 @@ def _random_part(rng, letters, max_len=8):
 
 
 def _random_element(rng):
-    """A normal form whose parts are each often empty; ab is often an a-power."""
+    """A vertex whose published parts are each often empty; ab is often an a-power."""
     ab = rng.choice(["", a_power(rng.randrange(-3, 4)), _random_part(rng, "abAB")])
     cd = rng.choice(["", _random_part(rng, "cdCD")])
     balance = exponent_sum(ab) + exponent_sum(cd)
     cd = reduce_word(cd + ("C" * balance if balance > 0 else "c" * -balance))
     tail = rng.choice(["", _random_part(rng, "asAS")])
-    return validate_s(SElement(ab, cd, tail))
+    return validate_s(ab, cd, tail)
 
 
 def test_s_multiply_matches_reference_product():
-    """The fast paths of `s_multiply` against the explicit formula."""
+    """`s_multiply` against the explicit formula in the published form."""
     rng = random.Random(47)
     xs = [_random_element(rng) for _ in range(150)]
-    assert any(x.ab and not x.ab.strip("aA") for x in xs)
-    assert any(x.tail and not x.ab for x in xs)
+    parts = {x: s_parts(x) for x in xs}
+    assert any(ab and not ab.strip("aA") for ab, _, _ in parts.values())
+    assert any(tail and not ab for ab, _, tail in parts.values())
+    for x in xs:
+        assert s_from_json(s_to_json(x)) == x
     for gen, value in GEN_VALUES.items():
-        assert value == generator_value(gen)
+        assert s_parts(value) == generator_value(gen)
         for x in xs[:40]:
             product = s_multiply(x, value)
             assert type(product) is SElement
-            assert product == reference_multiply(x, value)
+            assert s_parts(product) == reference_multiply(parts[x], s_parts(value))
     for x in xs:
         for y in rng.sample(xs, 20):
             product = s_multiply(x, y)
             assert type(product) is SElement
-            assert product == reference_multiply(x, y)
+            assert s_parts(product) == reference_multiply(parts[x], parts[y])
 
 
 def test_projection_to_base_group():
@@ -191,6 +195,9 @@ def test_projection_to_base_group():
     assert not in_base_group(s_from_word("s"))
     with pytest.raises(ValueError):
         s_to_g(s_from_word("s"))
+    # the message names the published parts
+    with pytest.raises(ValueError, match=re.escape("SElement(ab='', cd='', tail='sa')")):
+        s_to_g(s_from_word("sa"))
 
 
 def test_kernel_subgroup_detection():
@@ -203,9 +210,10 @@ def test_kernel_subgroup_detection():
 def test_a_exponent_and_conjugation():
     assert a_exponent("aasSA") == 1
     assert a_exponent("ss") == 0
-    assert conjugate_ab("bA", 1) == "abAA"
-    assert conjugate_ab("bA", -1) == "Ab"
-    assert conjugate_ab("", 5) == ""
+    # the product conjugates a kernel part by the a-exponent of the tail before it
+    assert s_parts(s_multiply(s_from_word("a"), s_from_word("bA"))) == ("abAA", "", "a")
+    assert s_parts(s_multiply(s_from_word("A"), s_from_word("bA"))) == ("Ab", "", "A")
+    assert s_parts(s_from_word("aaaaa")) == ("", "", "aaaaa")
 
 
 def test_tokens_roundtrip():
@@ -232,10 +240,13 @@ def test_json_roundtrip():
 
 def test_validate_s_rejects_bad_forms():
     with pytest.raises(ValueError):
-        validate_s(SElement("aA", "", ""))
+        validate_s("aA", "", "")
     with pytest.raises(ValueError):
-        validate_s(SElement("c", "", ""))
+        validate_s("c", "", "")
     with pytest.raises(ValueError):
-        validate_s(SElement("a", "", ""))
+        validate_s("a", "", "")
     with pytest.raises(ValueError):
-        validate_s(SElement("", "", "b"))
+        validate_s("", "", "b")
+    # stored, these parts would be the valid vertex ("ba", "C", "a")
+    with pytest.raises(ValueError, match="bad ab part"):
+        validate_s("baA", "C", "a")

@@ -13,6 +13,7 @@ from stallings.complexes import (
 from stallings.elements import (
     S_IDENTITY,
     distance_to_identity,
+    parse_gens,
     s_from_word,
     s_invert,
     s_multiply,
@@ -116,6 +117,9 @@ def test_main_pipeline_preconditions():
         run_main_pipeline(scan((1, 3)), (1, 3, -1, -3))
     with pytest.raises(ValueError, match="not a loop"):
         run_main_pipeline(scan((1, 1, 1)), (1, 3))
+    loop = parse_gens("ABAbabCDCdcdBABabaDCDcdc")
+    with pytest.raises(ValueError, match="max_level must be nonnegative, got -1"):
+        run_main_pipeline(s_from_word("abacdc"), loop, max_level=-1)
 
 
 def test_main_pipeline_report_json():
