@@ -215,10 +215,7 @@ def parse_gens(text: str | Iterable[str]) -> tuple[int, ...]:
 
 def scan(gens: Iterable[int], start: SElement = S_IDENTITY) -> SElement:
     """Normal form of start * g1 * g2 * ... for signed generator ids."""
-    x = start
-    for gen in gens:
-        x = step(x, gen)
-    return x
+    return walk(start, gens)[-1]
 
 
 def walk(start: SElement, gens: Iterable[int]) -> list[SElement]:

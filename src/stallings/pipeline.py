@@ -46,7 +46,6 @@ from .elements import (
     distance_to_identity,
     gen_to_token,
     in_base_group,
-    in_kernel_subgroup,
     s_invert,
     s_multiply,
     s_to_json,
@@ -198,8 +197,8 @@ def _innermost_stable_pair(editor: PathEditor) -> tuple[int, int] | None:
                 candidates.append((prev, i))
             prev = i
     for i, j in candidates:
-        between = s_multiply(s_invert(editor.vertex(i + 1)), editor.vertex(j))
-        if in_kernel_subgroup(between):
+        # the tail is the image in S/K, so the interior lies in K iff the tails agree
+        if editor.vertex(i + 1).tail == editor.vertex(j).tail:
             return i, j
     if candidates:
         raise CertificateError("no adjacent stable pair pinches over the kernel")

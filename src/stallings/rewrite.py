@@ -28,16 +28,17 @@ untouched.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .complexes import ForbiddenRegion, get_complex
 from .elements import (
     S_IDENTITY,
     SElement,
+    check_base_group,
     distance_to_identity,
     s_from_word,
-    s_to_g,
-    walk,
+    step,
 )
 from .homotopy import (
     Certificate,
@@ -82,9 +83,8 @@ def _away_letter(v: SElement, factor: str, sign: int) -> tuple[int, bool]:
     appends never cancel; an empty projection falls back to the factor's
     second base, which is reported so callers can flag it.
     """
-    g = s_to_g(v)
     bases = AB_BASES if factor == "ab" else CD_BASES
-    proj = g.ab if factor == "ab" else g.cd
+    proj = v.p_ab if factor == "ab" else v.cd
     if not proj:
         return sign * bases[1], True
     last_base = 1 + "abcd".index(proj[-1].lower())
@@ -108,11 +108,8 @@ class RewriteReport:
 class _Rewriter:
     def __init__(self, editor: PathEditor):
         self.ed = editor
-        self.cases: dict[str, int] = {}
+        self.cases: Counter[str] = Counter()
         self.fallback = False
-
-    def _fire(self, case: str) -> None:
-        self.cases[case] = self.cases.get(case, 0) + 1
 
     def _insert_partner(
         self, pos: int, length: int, factor: str, sign: int
@@ -146,13 +143,13 @@ class _Rewriter:
             # the inverted partner block, k1 letters of `other` with sign,
             # now sits at pos, in front of the second syllable
             if factor2 == other and sign2 == sign:
-                self._fire("1")  # merges with the partner block
+                self.cases["1"] += 1  # merges with the partner block
                 continue
             if factor2 == factor:
                 if k2 >= k1:
-                    self._fire("2")
+                    self.cases["2"] += 1
                 else:
-                    self._fire("3")
+                    self.cases["3"] += 1
                     self._insert_partner(pos + k1 + k2, k1 - k2, factor, -sign)
                 interleave_blocks(ed, pos, k1)
                 pos += 2 * k1
@@ -165,15 +162,15 @@ class _Rewriter:
                 q += 1
             k_left, k_right = k1 - q, k2 - q
             if k_left == 0 or k_right == 0:
-                self._fire("4.1")
+                self.cases["4.1"] += 1
                 continue
             self._insert_partner(pos + k_left, k_left, factor, -sign)
             interleave_blocks(ed, pos, k_left)
             pos += 2 * k_left
             if k_right >= k_left:
-                self._fire("4.2")
+                self.cases["4.2"] += 1
             else:
-                self._fire("4.3")
+                self.cases["4.3"] += 1
                 self._insert_partner(pos + k_left + k_right, k_left - k_right, other, -sign)
             interleave_blocks(ed, pos, k_left)
             pos += 2 * k_left
@@ -192,16 +189,17 @@ def rewrite_to_kernel_path(
     certificate and the away-from-identity guarantee are re-verified,
     against `forbidden` when given; a failed check clears `verified`.
     """
+    check_base_group(start)
     if any(abs(g) not in (1, 2, 3, 4) for g in labels):
         raise ValueError("rewriting applies to letter paths only")
     if sum(1 if g > 0 else -1 for g in labels) != 0:
         raise ValueError("path has nonzero exponent sum")
     editor = PathEditor(GAMMA_1, start, labels)
+    min_original = min(map(distance_to_identity, map(editor.vertex, range(len(labels) + 1))))
     rewriter = _Rewriter(editor)
     trace = rewriter.run(0)
     cert = editor.certificate()
 
-    min_original = min(map(distance_to_identity, walk(start, labels)))
     report = RewriteReport(
         certificate=cert,
         cases=rewriter.cases,
@@ -225,23 +223,28 @@ def rewrite_to_kernel_path(
 # exhaustive harness
 # ---------------------------------------------------------------------------
 
-def zero_sum_words(max_len: int):
-    """All letter words of even length <= max_len with exponent sum zero."""
-    yield ()
-    letters = (1, -1, 2, -2, 3, -3, 4, -4)
-    for n in range(2, max_len + 1, 2):
-        stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
-        while stack:
-            word, es = stack.pop()
-            remaining = n - len(word)
-            if remaining == 0:
-                if es == 0:
-                    yield word
-                continue
-            if abs(es) > remaining:
-                continue
-            for g in letters:
-                stack.append((word + (g,), es + (1 if g > 0 else -1)))
+def zero_sum_walks(start: SElement, max_len: int, region=frozenset()):
+    """(word, dipped) for each zero-sum letter word of length <= max_len.
+
+    Walks depth first from start, stepping each prefix once and only while a
+    zero-sum completion fits; `dipped` says whether the path enters `region`.
+    """
+    stack = [((), start, 0, start in region)]
+    while stack:
+        word, v, es, dipped = stack.pop()
+        if es == 0:
+            yield word, dipped
+        room = max_len - len(word) - 1
+        for g in (1, -1, 2, -2, 3, -3, 4, -4):
+            es_g = es + (1 if g > 0 else -1)
+            if abs(es_g) <= room:
+                w = step(v, g)
+                stack.append((word + (g,), w, es_g, dipped or w in region))
+
+
+def zero_sum_words(max_len: int) -> list[tuple[int, ...]]:
+    """All zero-sum letter words of length <= max_len, shortest first, in walk order."""
+    return sorted((word for word, _ in zero_sum_walks(S_IDENTITY, max_len)), key=len)
 
 
 def transversal_bases() -> tuple[SElement, ...]:
@@ -280,19 +283,16 @@ def run_rewrite_suite(
     """
     if bases is None:
         bases = transversal_bases()
-    region = None
-    if m is not None:
-        region = ForbiddenRegion(GAMMA_1, (S_IDENTITY,), m)
-    words = list(zero_sum_words(max_len))
-    cases: dict[str, int] = {}
+    region = frozenset() if m is None else ForbiddenRegion(GAMMA_1, (S_IDENTITY,), m)
+    cases: Counter[str] = Counter()
     runs = 0
     verified = 0
     skipped = 0
     fallback_runs = 0
     max_moves = 0
     for base in bases:
-        for word in words:
-            if region is not None and any(v in region for v in walk(base, word)):
+        for word, dipped in zero_sum_walks(base, max_len, region):
+            if dipped:
                 skipped += 1
                 continue
             report = rewrite_to_kernel_path(base, word, forbidden=region)
@@ -300,11 +300,10 @@ def run_rewrite_suite(
             verified += report.verified
             fallback_runs += report.fallback_partner_used
             max_moves = max(max_moves, len(report.certificate.moves))
-            for case, count in report.cases.items():
-                cases[case] = cases.get(case, 0) + count
+            cases.update(report.cases)
     return {
         "bases": len(bases),
-        "words": len(words),
+        "words": len(zero_sum_words(max_len)),
         "ball_radius": m,
         "skipped": skipped,
         "runs": runs,

@@ -13,7 +13,7 @@ generators are 6..29; negation is inversion.
 from __future__ import annotations
 
 from functools import reduce
-from operator import mul
+from operator import mul, ne
 from typing import NamedTuple
 
 GROUP_LETTERS = "abcdABCD"
@@ -34,7 +34,7 @@ def invert_word(word: str) -> str:
 
 
 def is_reduced(word: str) -> bool:
-    return all(word[i] != FLIP[word[i + 1]] for i in range(len(word) - 1))
+    return all(map(ne, word, word[1:].swapcase()))
 
 
 def reduce_word(word: str) -> str:
@@ -66,11 +66,11 @@ def reduce_mul(left: str, right: str) -> str:
 
 def exponent_sum(word: str) -> int:
     """Sum of letter signs (lowercase +1, uppercase -1)."""
-    return sum(1 if ch.islower() else -1 for ch in word)
+    return 2 * sum(map(str.islower, word)) - len(word)
 
 
 def word_is_over(word: str, alphabet: str) -> bool:
-    return all(ch in alphabet for ch in word)
+    return not word.strip(alphabet)
 
 
 class GElement(NamedTuple):
@@ -94,15 +94,9 @@ G_IDENTITY = GElement("", "")
 
 def g_from_word(word: str) -> GElement:
     """Evaluate a word over {a,b,c,d}+- in the direct product."""
-    ab: list[str] = []
-    cd: list[str] = []
-    for ch in word:
-        part = ab if ch in "abAB" else cd
-        if part and part[-1] == FLIP[ch]:
-            part.pop()
-        else:
-            part.append(ch)
-    return GElement("".join(ab), "".join(cd))
+    ab = "".join(ch for ch in word if ch in "abAB")
+    cd = "".join(ch for ch in word if ch not in "abAB")
+    return GElement(reduce_word(ab), reduce_word(cd))
 
 
 def in_kernel(g: GElement) -> bool:

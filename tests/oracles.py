@@ -8,7 +8,6 @@ share its representation: the oracle works in the published (k, tail) form
 and converts only at its edges, through `s_parts` and `s_from_json`.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from stallings.complexes import get_complex
@@ -70,9 +69,8 @@ def reference_step(x, gen):
     return reference_multiply(x, generator_value(gen))
 
 
-@lru_cache(maxsize=1 << 16)
 def _library_vertex(v):
-    """The library vertex of a published form; replays revisit the same vertices."""
+    """The library vertex of a published form."""
     return s_from_json({"k": {"ab": v.ab, "cd": v.cd}, "tail": v.tail})
 
 

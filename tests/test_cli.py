@@ -344,6 +344,12 @@ def test_source_has_no_asserts():
                      "min_distance must be at least 3", id="pipeline-min-distance-below-floor"),
         pytest.param(("pipeline", "--base", "s", "--word", "acAC"), "not in the base group",
                      id="pipeline-base-not-in-base-group"),
+        pytest.param(("f2p", "--base", "s", "--word", "aC"), "not in the base group",
+                     id="f2p-base-not-in-base-group"),
+        # the message names the basepoint, not a vertex reached during the rewrite
+        pytest.param(("f2p", "--base", "s", "--word", "acAC"),
+                     "not in the base group: SElement(ab='', cd='', tail='s')",
+                     id="f2p-base-not-in-base-group-named"),
         pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--start", "s a a a a a a"),
                      "not in the base group", id="reduce-demo-start-not-in-base-group"),
         # a flag the selected mode never reads

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from oracles import replay_certificate
 from stallings.complexes import ForbiddenRegion, get_complex
-from stallings.elements import S_IDENTITY, distance_to_identity, s_from_word, scan
+from stallings.elements import S_IDENTITY, distance_to_identity, s_from_word, scan, walk
 from stallings.homotopy import verify_certificate
 from stallings.rewrite import (
     is_kernel_form,
@@ -12,6 +13,7 @@ from stallings.rewrite import (
     run_rewrite_suite,
     split_syllables,
     transversal_bases,
+    zero_sum_walks,
     zero_sum_words,
 )
 from stallings.words import g_from_word, in_kernel
@@ -171,6 +173,27 @@ def test_zero_sum_word_counts():
     assert sum(1 for _ in zero_sum_words(2)) == 33
     assert sum(1 for _ in zero_sum_words(4)) == 1569
     assert sum(1 for _ in zero_sum_words(6)) == 83489
+
+
+def test_zero_sum_words_order_is_pinned():
+    """Criterion 8's corpus and the mutation fuzz sample from this sequence."""
+    digest = hashlib.sha256(repr(list(zero_sum_words(6))).encode()).hexdigest()
+    assert digest == "9ecddcb3ed6b3a6045085b733e67ead1c38f0ef6d675ea34bb1fbeee3f916134"
+
+
+def test_zero_sum_walks_flag_the_words_that_enter_the_region():
+    region = ForbiddenRegion(GAMMA_1, (S_IDENTITY,), 2)
+    words = zero_sum_words(4)
+    flags = set()
+    # "ab" lies inside the region; from "aBc" and "abCdA" only some words dip
+    for base in map(s_from_word, ("ab", "aBc", "abCdA")):
+        walked = dict(zero_sum_walks(base, 4, region))
+        assert sorted(walked) == sorted(words)
+        assert sum(1 for _ in zero_sum_walks(base, 4, region)) == len(words)
+        for word, dipped in walked.items():
+            assert dipped == any(v in region for v in walk(base, word))
+        flags.add(frozenset(walked.values()))
+    assert flags == {frozenset({True}), frozenset({True, False})}
 
 
 def test_transversal_bases_cover_all_splits():
