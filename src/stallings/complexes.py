@@ -256,23 +256,15 @@ def find_generator_path(
     return None
 
 
-class ForbiddenRegion:
-    """A closed metric neighborhood of a finite vertex set, as a lookup."""
+class ForbiddenRegion(dict):
+    """A closed metric neighborhood of a finite vertex set, as a dict from each
+    vertex to its distance from the nearest center; nothing writes to it later."""
 
     def __init__(self, spec: ComplexSpec, centers: Iterable[SElement], radius: int) -> None:
         self.spec = spec
         self.centers = tuple(dict.fromkeys(centers))
         self.radius = radius
-        self._dist = neighborhood(spec, self.centers, radius)
-
-    def __contains__(self, v: SElement) -> bool:
-        return v in self._dist
-
-    def __len__(self) -> int:
-        return len(self._dist)
-
-    def vertices(self) -> tuple[SElement, ...]:
-        return tuple(self._dist)
+        super().__init__(neighborhood(spec, self.centers, radius))
 
 
 # ---------------------------------------------------------------------------

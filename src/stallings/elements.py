@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple
 from .words import (
     EGEN_COUNT,
     EGEN_FIRST_ID,
-    EGEN_VALUES,
+    EGEN_WORDS,
     GElement,
     ID_LETTERS,
     LETTER_IDS,
@@ -109,7 +109,7 @@ def in_kernel_subgroup(x: SElement) -> bool:
 
 def g_to_s(g: GElement) -> SElement:
     """Embed the direct product: the tail is the a-power carried by es(g)."""
-    return SElement(g.ab, g.cd, a_power(g.exponent_sum()))
+    return SElement(g.ab, g.cd, a_power(exponent_sum(g.ab + g.cd)))
 
 
 def s_to_g(x: SElement) -> GElement:
@@ -147,11 +147,11 @@ def distance_to_identity(v: SElement) -> int:
 
 def _build_gen_values() -> dict[int, SElement]:
     table = {S_ID: SElement("", "", "s"), -S_ID: SElement("", "", "S")}
-    values = [(LETTER_IDS[ch], g_from_word(ch)) for ch in "abcd"]
-    values += [(egen_id(i), EGEN_VALUES[i - 1]) for i in range(1, EGEN_COUNT + 1)]
-    for gen, value in values:
-        table[gen] = g_to_s(value)
-        table[-gen] = g_to_s(value.inverse())
+    words = [(LETTER_IDS[ch], ch) for ch in "abcd"]
+    words += [(egen_id(i), word) for i, word in enumerate(EGEN_WORDS, start=1)]
+    for gen, word in words:
+        table[gen] = g_to_s(g_from_word(word))
+        table[-gen] = g_to_s(g_from_word(invert_word(word)))
     return table
 
 

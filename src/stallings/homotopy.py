@@ -268,6 +268,8 @@ def certificate_from_json(data: dict) -> Certificate:
         raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
     if not isinstance(data.get("complex"), str):
         raise ValueError("certificate field 'complex' must be a string")
+    if not isinstance(data.get("description", ""), str):
+        raise ValueError("certificate field 'description' must be a string")
     return Certificate(
         complex_name=data["complex"],
         start=s_from_json(data.get("start")),

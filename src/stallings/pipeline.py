@@ -134,9 +134,7 @@ def base_exclusion_radius(region: ForbiddenRegion) -> int:
     A base-group loop staying strictly outside this radius cannot touch
     the region's trace in the base-group complex.
     """
-    return max(
-        (distance_to_identity(v) for v in region.vertices() if in_base_group(v)), default=0
-    )
+    return max((distance_to_identity(v) for v in region if in_base_group(v)), default=0)
 
 
 def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) -> int:

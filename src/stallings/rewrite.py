@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 
 from .complexes import ForbiddenRegion, get_complex
 from .elements import (
@@ -303,7 +304,8 @@ def run_rewrite_suite(
             cases.update(report.cases)
     return {
         "bases": len(bases),
-        "words": len(zero_sum_words(max_len)),
+        # zero-sum words of length 2j: j positive positions, four letters at each
+        "words": sum(comb(2 * j, j) * 16**j for j in range(max_len // 2 + 1)),
         "ball_radius": m,
         "skipped": skipped,
         "runs": runs,

@@ -12,8 +12,7 @@ generators are 6..29; negation is inversion.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul, ne
+from operator import ne
 from typing import NamedTuple
 
 GROUP_LETTERS = "abcdABCD"
@@ -79,21 +78,9 @@ class GElement(NamedTuple):
     ab: str
     cd: str
 
-    def __mul__(self, other: "GElement") -> "GElement":  # type: ignore[override]
-        return GElement(reduce_mul(self.ab, other.ab), reduce_mul(self.cd, other.cd))
-
-    def inverse(self) -> "GElement":
-        return GElement(invert_word(self.ab), invert_word(self.cd))
-
-    def exponent_sum(self) -> int:
-        return exponent_sum(self.ab) + exponent_sum(self.cd)
-
-
-G_IDENTITY = GElement("", "")
-
 
 def g_from_word(word: str) -> GElement:
-    """Evaluate a word over {a,b,c,d}+- in the direct product."""
+    """Evaluate a word over {a,b,c,d}+- in the direct product, each factor on its own."""
     ab = "".join(ch for ch in word if ch in "abAB")
     cd = "".join(ch for ch in word if ch not in "abAB")
     return GElement(reduce_word(ab), reduce_word(cd))
@@ -101,7 +88,7 @@ def g_from_word(word: str) -> GElement:
 
 def in_kernel(g: GElement) -> bool:
     """Membership in the kernel of the exponent-sum map onto Z."""
-    return g.exponent_sum() == 0
+    return exponent_sum(g.ab + g.cd) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +164,7 @@ def _identity_failures(table) -> list[str]:
     """One message per row whose two sides differ in the direct product."""
     failures: list[str] = []
     for name, left, right in table:
-        lhs, rhs = (reduce(mul, map(g_from_word, side.split()), G_IDENTITY)
-                    for side in (left, right))
+        lhs, rhs = (g_from_word(side.replace(" ", "")) for side in (left, right))
         if lhs != rhs:
             failures.append(f"{name}: {lhs} != {rhs}")
     return failures
@@ -193,9 +179,8 @@ def kernel_identity_report() -> dict[str, object]:
     failures = _identity_failures(KERNEL_IDENTITIES)
     conjugate_checks = 0
     for word in EGEN_WORDS:
-        gen = g_from_word(word)
         for letter in GROUP_LETTERS:
-            conj = g_from_word(letter) * gen * g_from_word(FLIP[letter])
+            conj = g_from_word(letter + word + FLIP[letter])
             conjugate_checks += 1
             if not in_kernel(conj):
                 failures.append(f"conjugate {letter}.{word}.{FLIP[letter]} left the kernel")

@@ -387,6 +387,8 @@ def test_source_has_no_asserts():
         pytest.param(("pipeline", "--count", "2", "--with-timing"),
                      "--with-timing is not read without --word", id="pipeline-batch-with-timing"),
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
+        pytest.param(("verify-cert", {"description": ["x"]}), "'description'",
+                     id="cert-description-not-a-string"),
         # reduced after conversion to the stored F(a,b) projection, but not canonical
         pytest.param(("verify-cert", {"start": {"k": {"ab": "baA", "cd": "C"}, "tail": "a"}}),
                      "bad ab part: 'baA'", id="cert-start-not-canonical"),

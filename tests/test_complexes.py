@@ -125,7 +125,12 @@ def test_neighborhood_multisource():
 
 
 def test_forbidden_region():
-    region = ForbiddenRegion(get_complex("x"), [S_IDENTITY], 1)
+    spec = get_complex("x")
+    region = ForbiddenRegion(spec, [S_IDENTITY], 1)
+    assert isinstance(region, dict)
+    assert region == neighborhood(spec, [S_IDENTITY], 1)
+    assert region[S_IDENTITY] == 0
+    assert region[s_from_word("s")] == 1
     assert len(region) == 27  # identity plus 26 distinct neighbor values
     assert S_IDENTITY in region
     assert s_from_word("s") in region

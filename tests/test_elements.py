@@ -127,20 +127,21 @@ def test_step_against_group_arithmetic():
 
     Every signed generator is undone by its negation, and on base-group
     vertices a letter step agrees with multiplication in the direct
-    product, computed by `GElement` arithmetic.
+    product, evaluated by `g_from_word` on the concatenated word.
     """
     rng = random.Random(43)
     signed = [g for gen in range(1, 30) for g in (gen, -gen)]
     assert sorted(GEN_VALUES) == sorted(signed)
     for _ in range(100):
         x = s_from_word(_random_word(rng, rng.randrange(0, 10)))
-        base_x = s_from_word(_random_word(rng, rng.randrange(0, 10), letters="abcdABCD"))
+        base_word = _random_word(rng, rng.randrange(0, 10), letters="abcdABCD")
+        base_x = s_from_word(base_word)
         for gen in signed:
             assert step(step(x, gen), -gen) == x
             if abs(gen) < 5:
                 letter = ID_LETTERS[abs(gen)]
                 letter = letter if gen > 0 else letter.upper()
-                assert s_to_g(step(base_x, gen)) == s_to_g(base_x) * g_from_word(letter)
+                assert s_to_g(step(base_x, gen)) == g_from_word(base_word + letter)
     for bad in (0, 30, -30):
         with pytest.raises(ValueError):
             step(S_IDENTITY, bad)
@@ -191,7 +192,7 @@ def test_projection_to_base_group():
         assert in_base_group(x)
         assert s_to_g(x) == g
         assert s_from_word(w) == x
-        assert in_kernel_subgroup(x) == (g.exponent_sum() == 0)
+        assert in_kernel_subgroup(x) == (exponent_sum(w) == 0)
     assert not in_base_group(s_from_word("s"))
     with pytest.raises(ValueError):
         s_to_g(s_from_word("s"))

@@ -362,6 +362,8 @@ def test_certificate_json_roundtrip():
         {"start": {"k": 3, "tail": ""}},
         {"start": None},
         {"complex": ["x"]},
+        {"description": 5},
+        {"description": None},
     ],
 )
 def test_certificate_from_json_rejects_malformed_shapes(patch):

@@ -175,6 +175,11 @@ def test_zero_sum_word_counts():
     assert sum(1 for _ in zero_sum_words(6)) == 83489
 
 
+def test_suite_word_count_matches_the_walk():
+    for n in range(7):
+        assert run_rewrite_suite((), max_len=n)["words"] == len(zero_sum_words(n))
+
+
 def test_zero_sum_words_order_is_pinned():
     """Criterion 8's corpus and the mutation fuzz sample from this sequence."""
     digest = hashlib.sha256(repr(list(zero_sum_words(6))).encode()).hexdigest()
