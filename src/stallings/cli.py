@@ -44,7 +44,7 @@ from .words import egen_table, kernel_identity_report, one_ended_reduction_repor
 
 
 def _nonnegative_int(text: str) -> int:
-    """Argument type for sizes, radii, levels and distances: a nonnegative integer."""
+    """Argument type for sizes, radii, levels, distances and budgets: a nonnegative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
@@ -262,7 +262,7 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     out = _flag("--out", help="write the report to a file instead of stdout")
-    budget = _flag("--budget", type=int, default=DEFAULT_BUDGET,
+    budget = _flag("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
                    help="search budget in vertices")
     seed = _flag("--seed", type=int, default=0, help="random seed")
     timing = _flag("--with-timing", action="store_true",
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
                 sub.error(f"{flag} is not read {'with' if given else 'without'} {selector}")
     try:
         payload, ok = args.handler(args)
-    except (ValueError, KeyError, OSError, SearchBudgetExceeded) as exc:
+    except (ValueError, KeyError, OSError, RecursionError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = emit(payload)

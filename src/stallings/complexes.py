@@ -24,12 +24,11 @@ from .elements import (
     gen_to_token,
     in_base_group,
     in_kernel_subgroup,
-    parse_gens,
     s_multiply,
     s_parts,
     step,
 )
-from .words import EGEN_COUNT, EGEN_WORDS, egen_id, word_is_over
+from .words import EGEN_IDS, EGEN_LETTERS, S_ID, word_is_over
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -47,10 +46,8 @@ def _build_relators() -> tuple[tuple[int, ...], ...]:
     for x in (1, 2):
         for y in (3, 4):
             rels.append((x, y, -x, -y))
-    for i in range(1, EGEN_COUNT + 1):
-        rels.append((-egen_id(i),) + parse_gens(EGEN_WORDS[i - 1]))
-    for i in range(1, EGEN_COUNT + 1):
-        rels.append((5, egen_id(i), -5, -egen_id(i)))
+    rels += [(-gen,) + EGEN_LETTERS[gen] for gen in EGEN_IDS]
+    rels += [(S_ID, gen, -S_ID, -gen) for gen in EGEN_IDS]
     return tuple(rels)
 
 
@@ -100,7 +97,6 @@ class ComplexSpec:
 
 
 LETTER_GENS = (1, 2, 3, 4)
-EGEN_IDS = tuple(egen_id(i) for i in range(1, EGEN_COUNT + 1))
 
 COMPLEXES: dict[str, ComplexSpec] = {
     spec.name: spec

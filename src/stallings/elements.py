@@ -27,15 +27,11 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .words import (
-    EGEN_COUNT,
-    EGEN_FIRST_ID,
-    EGEN_WORDS,
+    EGEN_LETTERS,
+    GEN_TOKENS,
     GElement,
-    ID_LETTERS,
-    LETTER_IDS,
     S_ID,
-    egen_id,
-    egen_index,
+    TOKEN_GENS,
     exponent_sum,
     g_from_word,
     invert_word,
@@ -146,12 +142,10 @@ def distance_to_identity(v: SElement) -> int:
 
 
 def _build_gen_values() -> dict[int, SElement]:
-    table = {S_ID: SElement("", "", "s"), -S_ID: SElement("", "", "S")}
-    words = [(LETTER_IDS[ch], ch) for ch in "abcd"]
-    words += [(egen_id(i), word) for i, word in enumerate(EGEN_WORDS, start=1)]
-    for gen, word in words:
-        table[gen] = g_to_s(g_from_word(word))
-        table[-gen] = g_to_s(g_from_word(invert_word(word)))
+    table = {g: g_to_s(g_from_word(t)) for g, t in GEN_TOKENS.items() if abs(g) < S_ID}
+    table[S_ID], table[-S_ID] = SElement("", "", "s"), SElement("", "", "S")
+    for gen, (x, y) in EGEN_LETTERS.items():
+        table[gen] = s_multiply(table[x], table[y])
     return table
 
 
@@ -174,26 +168,17 @@ def step(x: SElement, gen: int) -> SElement:
 
 def token_to_gen(token: str) -> int:
     """Token -> signed generator id ("a"->1, "S"->-5, "e3"->8, "E3"->-8)."""
-    if len(token) == 1 and token.lower() in LETTER_IDS:
-        gid = LETTER_IDS[token.lower()]
-        return gid if token.islower() else -gid
-    if token[:1] in ("e", "E") and token[1:].isdigit():
-        index = int(token[1:])
-        if 1 <= index <= EGEN_COUNT:
-            gid = EGEN_FIRST_ID - 1 + index
-            return gid if token[0] == "e" else -gid
-    raise ValueError(f"unknown generator token: {token!r}")
+    try:
+        return TOKEN_GENS[token]
+    except KeyError:
+        raise ValueError(f"unknown generator token: {token!r}") from None
 
 
 def gen_to_token(gen: int) -> str:
-    base = abs(gen)
-    if base == 0:
-        raise ValueError("generator id 0 is not signed")
-    if base <= S_ID:
-        letter = ID_LETTERS[base]
-        return letter if gen > 0 else letter.upper()
-    index = egen_index(base)
-    return f"e{index}" if gen > 0 else f"E{index}"
+    try:
+        return GEN_TOKENS[gen]
+    except KeyError:
+        raise ValueError(f"unknown generator id: {gen}") from None
 
 
 def parse_gens(text: str | Iterable[str]) -> tuple[int, ...]:
@@ -204,13 +189,8 @@ def parse_gens(text: str | Iterable[str]) -> tuple[int, ...]:
     is a single-letter token.
     """
     if isinstance(text, str):
-        if " " in text or any(ch.isdigit() for ch in text):
-            tokens: Iterable[str] = text.split()
-        else:
-            tokens = list(text)
-    else:
-        tokens = text
-    return tuple(token_to_gen(tok) for tok in tokens)
+        text = text.split() if " " in text or any(map(str.isdigit, text)) else list(text)
+    return tuple(map(token_to_gen, text))
 
 
 def scan(gens: Iterable[int], start: SElement = S_IDENTITY) -> SElement:

@@ -36,22 +36,13 @@ from .complexes import ComplexSpec, REL_WORDS, get_complex
 from .elements import (
     SElement,
     gen_to_token,
-    parse_gens,
     s_from_json,
     s_to_json,
     step,
     token_to_gen,
     walk,
 )
-from .words import (
-    EGEN_FIRST_ID,
-    EGEN_WORDS,
-    S_ID,
-    WORD_TO_EGEN,
-    egen_id,
-    egen_index,
-    invert_word,
-)
+from .words import EGEN_LETTERS, LETTERS_EGEN, S_ID
 
 Move = tuple
 Labels = tuple[int, ...]
@@ -390,11 +381,11 @@ def convert_letter_pairs(editor: PathEditor, pos: int, pair_count: int) -> int:
         if y == -x:
             editor.delete_backtrack(cursor)
             continue
-        word = gen_to_token(x) + gen_to_token(y)
-        index = WORD_TO_EGEN.get(word)
-        if index is None:
+        gen = LETTERS_EGEN.get((x, y))
+        if gen is None:
+            word = gen_to_token(x) + gen_to_token(y)
             raise CertificateError(f"letter pair {word!r} is not a kernel generator")
-        editor.replace(cursor, 2, (egen_id(index),))
+        editor.replace(cursor, 2, (gen,))
         cursor += 1
         produced += 1
     return produced
@@ -408,12 +399,11 @@ def expand_kernel_generators(editor: PathEditor, pos: int, count: int) -> int:
     """
     cursor = pos
     for _ in range(count):
-        gen = editor.labels[cursor]
-        if abs(gen) < EGEN_FIRST_ID:
+        letters = EGEN_LETTERS.get(editor.labels[cursor])
+        if letters is None:
             cursor += 1
             continue
-        word = EGEN_WORDS[egen_index(gen) - 1]
-        editor.replace(cursor, 1, parse_gens(word if gen > 0 else invert_word(word)))
+        editor.replace(cursor, 1, letters)
         cursor += 2
     return cursor - pos
 

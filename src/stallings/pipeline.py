@@ -288,7 +288,7 @@ def run_reduce_demo(
     factors: Sequence[ConjugateFactor | tuple],
     start: SElement | None = None,
     region: ForbiddenRegion = DEFAULT_REGION,
-    budget: int = 500_000,
+    budget: int = DEFAULT_BUDGET,
     with_timing: bool = False,
 ) -> PipelineReport:
     """Null-homotope an expression-built loop by eliminating its bands.

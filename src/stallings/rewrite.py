@@ -48,6 +48,7 @@ from .homotopy import (
     interleave_blocks,
     verify_certificate,
 )
+from .words import TOKEN_GENS
 
 GAMMA_1 = get_complex("gamma_1")
 
@@ -88,7 +89,7 @@ def _away_letter(v: SElement, factor: str, sign: int) -> tuple[int, bool]:
     proj = v.p_ab if factor == "ab" else v.cd
     if not proj:
         return sign * bases[1], True
-    last_base = 1 + "abcd".index(proj[-1].lower())
+    last_base = abs(TOKEN_GENS[proj[-1]])
     return sign * (bases[0] if last_base != bases[0] else bases[1]), False
 
 

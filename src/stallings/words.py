@@ -21,9 +21,8 @@ S_WORD_LETTERS = GROUP_LETTERS + "sS"
 FLIP = {c: c.swapcase() for c in S_WORD_LETTERS}
 
 # integer ids for generators of the big presentation
-A_ID, B_ID, C_ID, D_ID, S_ID = 1, 2, 3, 4, 5
-LETTER_IDS = {"a": A_ID, "b": B_ID, "c": C_ID, "d": D_ID, "s": S_ID}
-ID_LETTERS = {v: k for k, v in LETTER_IDS.items()}
+S_ID = 5
+ID_LETTERS = dict(enumerate("abcds", start=1))
 EGEN_FIRST_ID = 6
 
 
@@ -106,7 +105,6 @@ def _build_egen_words() -> tuple[str, ...]:
 # EGEN_WORDS[i] is the defining two-letter word of generator i+1 (ids 6..29).
 EGEN_WORDS: tuple[str, ...] = _build_egen_words()
 EGEN_COUNT = len(EGEN_WORDS)
-WORD_TO_EGEN = {w: i + 1 for i, w in enumerate(EGEN_WORDS)}
 EGEN_VALUES: tuple[GElement, ...] = tuple(g_from_word(w) for w in EGEN_WORDS)
 
 
@@ -123,6 +121,28 @@ def egen_index(gen_id: int) -> int:
     if not 1 <= index <= EGEN_COUNT:
         raise ValueError(f"not a kernel-generator id: {gen_id}")
     return index
+
+
+EGEN_IDS = tuple(egen_id(i) for i in range(1, EGEN_COUNT + 1))
+
+# The generator table, the one place ids meet tokens and letter pairs: each
+# of the 58 signed ids to its token and back (so only canonical tokens
+# parse), each of the 48 signed kernel generators to its two-letter word as
+# letter ids, and each opposite-sign pair of distinct letters to the
+# positive kernel generator it spells.
+_EGEN_TOKENS = {gen: f"e{i}" for i, gen in enumerate(EGEN_IDS, start=1)}
+GEN_TOKENS: dict[int, str] = {
+    sign * gen: token if sign > 0 else token.upper()
+    for gen, token in {**ID_LETTERS, **_EGEN_TOKENS}.items()
+    for sign in (1, -1)
+}
+TOKEN_GENS: dict[str, int] = {token: gen for gen, token in GEN_TOKENS.items()}
+EGEN_LETTERS: dict[int, tuple[int, ...]] = {
+    sign * gen: tuple(TOKEN_GENS[ch] for ch in (word if sign > 0 else invert_word(word)))
+    for gen, word in zip(EGEN_IDS, EGEN_WORDS)
+    for sign in (1, -1)
+}
+LETTERS_EGEN: dict[tuple[int, ...], int] = {v: g for g, v in EGEN_LETTERS.items() if g > 0}
 
 
 def egen_table() -> list[dict[str, str | int]]:

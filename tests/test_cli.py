@@ -329,6 +329,13 @@ def test_source_has_no_asserts():
                      id="reduce-demo-negative-count"),
         pytest.param(("ball", "--radius", "-1"), "must be nonnegative",
                      id="ball-negative-radius"),
+        pytest.param(("ball", "--radius", "2", "--budget", "-3"),
+                     "argument --budget: must be nonnegative", id="ball-negative-budget"),
+        pytest.param(("diagram", "build", "--expr", "[" * 3000 + "]" * 3000),
+                     "maximum recursion depth", id="diagram-deeply-nested-expr"),
+        # only the canonical token of a generator parses
+        pytest.param(("normalize", "e01"), "unknown generator token: 'e01'",
+                     id="normalize-noncanonical-token"),
         pytest.param(("f2p", "--m", "-1"), "must be nonnegative", id="f2p-negative-m"),
         pytest.param(("f2p", "--max-len", "-2"), "must be nonnegative",
                      id="f2p-negative-max-len"),
@@ -426,6 +433,23 @@ def test_bad_input_exits_2_without_traceback(argv, message, tmp_path, capsys):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+def test_deeply_nested_json_files_exit_2(tmp_path, capsys):
+    # written as raw text, since json.dumps cannot build this nesting either
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(VALID_CERT))
+    for argv in (["verify-cert", str(deep)],
+                 ["verify-cert", str(cert), "--forbidden", str(deep)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "maximum recursion depth" in err
+        assert "Traceback" not in err
+    proc = run_module("verify-cert", str(deep))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 # every optional flag of every subcommand; the shared ones (--out, --budget,

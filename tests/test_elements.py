@@ -28,9 +28,12 @@ from stallings.elements import (
     validate_s,
 )
 from stallings.words import (
+    EGEN_LETTERS,
     EGEN_WORDS,
+    GEN_TOKENS,
     GElement,
     ID_LETTERS,
+    LETTERS_EGEN,
     egen_id,
     exponent_sum,
     g_from_word,
@@ -224,10 +227,31 @@ def test_tokens_roundtrip():
     assert parse_gens("a b s") == (1, 2, 5)
     assert parse_gens("abS") == (1, 2, -5)
     assert parse_gens("e7") == (token_to_gen("e7"),)
-    with pytest.raises(ValueError):
-        token_to_gen("x")
-    with pytest.raises(ValueError):
-        token_to_gen("e25")
+    # all 58 signed ids round-trip through their tokens, singly and as a list
+    assert sorted(GEN_TOKENS) == sorted(g for gen in range(1, 30) for g in (gen, -gen))
+    for gen, token in GEN_TOKENS.items():
+        assert token_to_gen(token) == gen
+        assert gen_to_token(gen) == token
+    assert parse_gens(" ".join(GEN_TOKENS.values())) == tuple(GEN_TOKENS)
+    # each signed kernel generator's letter pair is a path to its value
+    assert len(EGEN_LETTERS) == 48
+    for gen, letters in EGEN_LETTERS.items():
+        assert scan(letters) == scan((gen,))
+    # stage 1 pairs letters of opposite signs; every such pair of distinct
+    # letters names a positive kernel generator spelled by that pair
+    assert set(LETTERS_EGEN) == {
+        (sign * x, -sign * y) for x in range(1, 5) for y in range(1, 5) if x != y
+        for sign in (1, -1)
+    }
+    for letters, gen in LETTERS_EGEN.items():
+        assert gen > 0 and EGEN_LETTERS[gen] == letters
+    # only canonical tokens parse
+    for bad in ("x", "e25", "e01", "e0", "e007", "e\u0661", "E", "ab", ""):
+        with pytest.raises(ValueError):
+            token_to_gen(bad)
+    for bad in (0, 30, -30):
+        with pytest.raises(ValueError):
+            gen_to_token(bad)
 
 
 def test_json_roundtrip():

@@ -35,7 +35,7 @@ from stallings.homotopy import (
 )
 from stallings.pipeline import random_far_loop, run_main_pipeline, run_reduce_demo
 from stallings.rewrite import rewrite_to_kernel_path, zero_sum_words
-from stallings.words import WORD_TO_EGEN, egen_id
+from stallings.words import LETTERS_EGEN, egen_id
 
 GAMMA1 = get_complex("gamma_1")
 GAMMA2 = get_complex("gamma_2")
@@ -298,7 +298,7 @@ def test_contract_kernel_generator_loop():
 
 def test_contract_mixed_letter_and_kernel_loop():
     # (b a^-1) a b^-1 is a closed loop mixing a kernel label with letters
-    loop = (egen_id(WORD_TO_EGEN["bA"]), 1, -2)
+    loop = (LETTERS_EGEN[(2, -1)], 1, -2)
     ed = PathEditor(GAMMA2, s_from_word("cd"), loop)
     contract_kernel_generator_loop(ed, 0, 3)
     assert ed.labels == ()
