@@ -52,11 +52,21 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Argument type for factor counts: a positive integer."""
+    """Argument type for factor counts and the ends gap: a positive integer."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
+
+
+def _radius_list(text: str) -> tuple[int, ...]:
+    """Argument type for sphere radii: comma-separated nonnegative integers."""
+    try:
+        return tuple(_nonnegative_int(part) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated nonnegative integers, got {text!r}"
+        ) from None
 
 
 def _parse_region(args) -> ForbiddenRegion:
@@ -101,10 +111,9 @@ def cmd_verify_identities(args):
 
 
 def cmd_ends(args):
-    r_values = tuple(int(t) for t in args.r.split(","))
     names = tuple(args.names.split(","))
     report = run_ends_experiment(
-        r_values=r_values, names=names, gap=args.gap, budget=args.budget
+        r_values=args.r, names=names, gap=args.gap, budget=args.budget
     )
     return report, True
 
@@ -289,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ends", parents=[out, budget],
                        help="sphere-complement component counts")
-    p.add_argument("--r", default="1,2,3", help="comma-separated sphere radii")
+    p.add_argument("--r", type=_radius_list, default="1,2,3",
+                   help="comma-separated sphere radii")
     p.add_argument("--names", default="gamma_k,gamma_1,gamma_h,free_ab")
-    p.add_argument("--gap", type=int, default=2,
+    p.add_argument("--gap", type=_positive_int, default=2,
                    help="extra radius of the enclosing ball")
     p.set_defaults(handler=cmd_ends)
 

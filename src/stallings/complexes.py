@@ -279,43 +279,89 @@ def sphere_complement_components(
     those reaching the outer sphere.  The number of such essential
     components is monotone in the number of ends; a control case with
     several ends separates from the one-ended cases already at small radii.
+
+    Components are the roots of one union-find over fill ids.  A flood fill
+    over the inner layers r+1 .. R-1 relabels each vertex it reaches in
+    `dist` as -1 - id, so every shell edge with an inner end is seen there.
+    A fill also labels each outer vertex (d == R) it reaches, or unites its
+    id with the label another fill left there.  An outer vertex no fill
+    reached gets an id of its own; that happens only when R == r + 1, since
+    otherwise its BFS parent is inner.  The edges left unseen join two outer
+    vertices, so the outer vertices are expanded last, uniting the labels of
+    their shell neighbours, and the pass stops once one component is left:
+    no edge can split it again.  On the one-ended complexes the inner fills
+    already leave one component, and no outer vertex is expanded.
     """
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
     dist = ball(spec, R, budget=budget)
     values = spec.step_values()
-    sizes: list[int] = []
-    essential = 0
-    # flood fill over the shell; a visited vertex has its distance zeroed,
-    # which drops it out of the shell (r >= 0) without a separate seen set
+    outer = [v for v, d in dist.items() if d == R]
+    parent: list[int] = []  # union-find over fill ids
+    sizes: list[int] = []  # vertices labelled by each fill
+    merges = 0
+
+    def new_label(v: SElement) -> int:
+        """Give v a fill id of its own and return its label, -1 - id."""
+        parent.append(len(parent))
+        sizes.append(1)
+        label = dist[v] = -len(parent)
+        return label
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def union(i: int, j: int) -> bool:
+        """Join the components of fill ids i and j; True if they were apart."""
+        i, j = find(i), find(j)
+        parent[j] = i
+        return i != j
+
     for v, d in dist.items():
-        if d <= r:
+        if not r < d < R:
             continue
-        touches_outer = d == R
-        dist[v] = 0
+        label = new_label(v)
+        fill = -1 - label
         stack = [v]
-        size = 0
         while stack:
             u = stack.pop()
-            size += 1
             for value in values:
                 w = s_multiply(u, value)
                 dw = dist.get(w, 0)
-                if dw > r:
-                    touches_outer |= dw == R
-                    dist[w] = 0
-                    stack.append(w)
-        sizes.append(size)
-        essential += touches_outer
+                if r < dw <= R:
+                    dist[w] = label
+                    sizes[fill] += 1
+                    if dw < R:
+                        stack.append(w)
+                elif dw < 0 and dw != label:
+                    # an outer vertex labelled by an earlier fill
+                    merges += union(-1 - dw, fill)
+    for v in outer:
+        if dist[v] == R:
+            new_label(v)
+    for v in outer:
+        if len(parent) - merges <= 1:
+            break
+        for value in values:
+            dw = dist.get(s_multiply(v, value), 0)
+            if dw < 0:
+                merges += union(-1 - dist[v], -1 - dw)
+    roots = [find(i) for i in range(len(parent))]
+    root_sizes = dict.fromkeys(roots, 0)
+    for root, size in zip(roots, sizes):
+        root_sizes[root] += size
+    component_sizes = sorted(root_sizes.values(), reverse=True)
     return {
         "complex": spec.name,
         "r": r,
         "R": R,
         "ball_size": len(dist),
-        "shell_size": sum(sizes),
-        "components": len(sizes),
-        "essential_components": essential,
-        "component_sizes": sorted(sizes, reverse=True),
+        "shell_size": sum(component_sizes),
+        "components": len(component_sizes),
+        "essential_components": len({roots[-1 - dist[v]] for v in outer}),
+        "component_sizes": component_sizes,
     }
 
 

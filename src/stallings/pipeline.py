@@ -379,7 +379,14 @@ def run_ends_experiment(
     gap: int = 2,
     budget: int = DEFAULT_BUDGET,
 ) -> dict[str, object]:
-    """Essential sphere-complement component counts per complex and radius."""
+    """Essential sphere-complement component counts per complex and radius.
+
+    Each complex keeps one count per radius, in the order of `r_values`, so
+    a repeated name or radius is refused.
+    """
+    for what, items in (("complex name", names), ("radius", r_values)):
+        if len(set(items)) < len(items):
+            raise ValueError(f"repeated {what} in {list(items)}")
     rows = []
     essential: dict[str, list[int]] = {}
     for name in names:

@@ -10,8 +10,8 @@ and converts only at its edges, through `s_parts` and `s_from_json`.
 
 from typing import NamedTuple
 
-from stallings.complexes import get_complex
-from stallings.elements import s_from_json, s_parts
+from stallings.complexes import ball, get_complex
+from stallings.elements import s_from_json, s_multiply, s_parts
 from stallings.homotopy import inverse_path, relator_form
 from stallings.words import (
     EGEN_FIRST_ID,
@@ -139,3 +139,44 @@ def replay_certificate(cert, forbidden=None):
     if blocked is not None and any(blocked(v) for v in swept):
         return False, "forbidden vertex swept", swept
     return True, None, swept
+
+
+def reference_shell_components(spec, r, R):
+    """The shell report of `sphere_complement_components`, by one full fill.
+
+    Every shell vertex is expanded, with a visited set of its own, and a
+    component is essential when it holds a vertex at distance R.  Distances
+    and products are the library's `ball` and `s_multiply`, so this checks
+    the component pass alone.
+    """
+    dist = ball(spec, R)
+    values = spec.step_values()
+    shell = {v for v, d in dist.items() if d > r}
+    seen = set()
+    sizes = []
+    essential = 0
+    for v in shell:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack = [v]
+        size = 0
+        touches_outer = False
+        while stack:
+            u = stack.pop()
+            size += 1
+            touches_outer |= dist[u] == R
+            for value in values:
+                w = s_multiply(u, value)
+                if w in shell and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        sizes.append(size)
+        essential += touches_outer
+    return {
+        "ball_size": len(dist),
+        "shell_size": len(shell),
+        "components": len(sizes),
+        "essential_components": essential,
+        "component_sizes": sorted(sizes, reverse=True),
+    }

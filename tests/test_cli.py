@@ -393,6 +393,18 @@ def test_source_has_no_asserts():
                      "--max-level is not read without --word", id="pipeline-batch-max-level"),
         pytest.param(("pipeline", "--count", "2", "--with-timing"),
                      "--with-timing is not read without --word", id="pipeline-batch-with-timing"),
+        pytest.param(("ends", "--r", "1", "--names", "gamma_1,gamma_1"),
+                     "repeated complex name", id="ends-repeated-name"),
+        pytest.param(("ends", "--r", "1,1", "--names", "gamma_1"), "repeated radius",
+                     id="ends-repeated-radius"),
+        pytest.param(("ends", "--gap", "0"), "argument --gap: must be positive",
+                     id="ends-zero-gap"),
+        pytest.param(("ends", "--gap", "-1"), "argument --gap: must be positive",
+                     id="ends-negative-gap"),
+        pytest.param(("ends", "--r", "1,,2"), "argument --r: must be comma-separated",
+                     id="ends-empty-radius"),
+        pytest.param(("ends", "--r", "1,-2"), "argument --r: must be comma-separated",
+                     id="ends-negative-radius"),
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
         pytest.param(("verify-cert", {"description": ["x"]}), "'description'",
                      id="cert-description-not-a-string"),
@@ -560,6 +572,12 @@ REPORT_DIGESTS = [
     pytest.param(("f2p", "--base", "aaa", "--word", "acAC", "--m", "2"), 0,
                  "6edd4f04ed98cf9a2b95ab9f5ffed7af5329709d808c78c2bd4c2f808ff2fb18",
                  id="f2p-single"),
+    pytest.param(("ends",), 0,
+                 "39b3d2e5f52e3c3102a77b7d46200524135eb973e782230893b950f78b072f3f",
+                 id="ends"),
+    pytest.param(("ends", "--gap", "1"), 0,
+                 "5e56a087a40e3e76d4e66bd596010859f8f0a954c9e85cee2ba2a9061d5fe769",
+                 id="ends-gap-1"),
     pytest.param(("f2p", "--max-len", "4", "--m", "2"), 0,
                  "3edb4384501bf6c11091ea2e3ff5bb74ba5fb941722584562d5619c90b4dab71",
                  id="f2p-suite"),

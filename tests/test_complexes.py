@@ -1,4 +1,5 @@
 import pytest
+from oracles import reference_shell_components
 
 from stallings.complexes import (
     COMMUTATOR_REL_IDS,
@@ -153,6 +154,39 @@ def test_ends_counts():
     assert rep["essential_components"] == 1
     with pytest.raises(ValueError):
         sphere_complement_components(get_complex("gamma_1"), 3, 3)
+
+
+# every gap of 1 to 3 with R <= 3, and R = 4 where the ball stays small.  Gap 1
+# expands outer vertices (gamma_2 stops early there); free_ab keeps many roots
+SHELLS = [(r, R) for R in (1, 2, 3) for r in range(R)]
+SMALL_SHELLS = [(r, 4) for r in (1, 2, 3)]
+REFERENCE_FIELDS = (
+    "ball_size", "shell_size", "components", "essential_components", "component_sizes"
+)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_shell_components_agree_with_oracle(name):
+    spec = get_complex(name)
+    for r, R in SHELLS + (SMALL_SHELLS if name in ("gamma_1", "free_ab") else []):
+        rep = sphere_complement_components(spec, r, R)
+        assert {k: rep[k] for k in ("complex", "r", "R")} == {"complex": name, "r": r, "R": R}
+        assert {k: rep[k] for k in REFERENCE_FIELDS} == reference_shell_components(spec, r, R)
+
+
+def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
+    # the inner fills of gamma_k already leave one component, so the products
+    # are those of the BFS (every vertex below R) and of the fills (every
+    # inner vertex), and none of an outer vertex
+    import stallings.complexes as complexes
+
+    spec = get_complex("gamma_k")
+    sizes = sphere_sizes(ball(spec, 3))
+    calls = []
+    monkeypatch.setattr(complexes, "s_multiply", lambda x, y: calls.append(1) or s_multiply(x, y))
+    rep = sphere_complement_components(spec, 1, 3)
+    assert rep["components"] == 1
+    assert len(calls) == (sum(sizes[:3]) + sizes[2]) * len(spec.step_values())
 
 
 def test_ball_to_dot():
