@@ -131,12 +131,15 @@ def s_invert(x: SElement) -> SElement:
 
 
 def distance_to_identity(v: SElement) -> int:
-    """Length of a normal form: the word-metric distance from the identity.
+    """Word-metric distance from the identity, exact on the base group.
 
-    The published first-factor part and the tail share the letter a, so
-    they merge before counting.  Exact on base-group vertices; elsewhere it
-    is a word-length bound.
+    On a base-group vertex the tail is a^m and the published part ab =
+    p_ab * a^-m merges with it back into p_ab, so the distance is read from
+    the stored projections: |p_ab| + |cd|.  Elsewhere it is a word-length
+    bound, the length of the published form with ab and the tail merged.
     """
+    if in_base_group(v):
+        return len(v.p_ab) + len(v.cd)
     ab, cd, tail = s_parts(v)
     return len(reduce_mul(ab, tail)) + len(cd)
 

@@ -282,7 +282,16 @@ class PathEditor:
     recording are the same act; `certificate()` freezes the history.
     """
 
-    def __init__(self, spec: ComplexSpec, start: SElement, labels: Iterable[int] = ()):
+    def __init__(
+        self,
+        spec: ComplexSpec,
+        start: SElement,
+        labels: Iterable[int] = (),
+        *,
+        verts: Sequence[SElement] | None = None,
+    ):
+        """`verts`, when given, are the path's vertices from an earlier walk
+        of `labels` from `start`; the editor then does not walk it again."""
         self.spec = spec
         self.start = start
         self._initial = tuple(labels)
@@ -290,7 +299,12 @@ class PathEditor:
         for gen in self._labels:
             if abs(gen) not in spec.gens:
                 raise CertificateError(f"label {gen} is not a generator of {spec.name}")
-        self._verts = walk(start, self._labels)
+        if verts is None:
+            self._verts = walk(start, self._labels)
+        elif len(verts) != len(self._labels) + 1 or verts[0] != start:
+            raise ValueError("handed vertices are not a walk of the labels from start")
+        else:
+            self._verts = list(verts)
         self._moves: list[Move] = []
 
     @property

@@ -183,6 +183,8 @@ def rewrite_to_kernel_path(
     start: SElement,
     labels: tuple[int, ...],
     forbidden=None,
+    *,
+    verts=None,
 ) -> RewriteReport:
     """Rewrite a zero-sum letter path into kernel-generator pair form.
 
@@ -190,13 +192,16 @@ def rewrite_to_kernel_path(
     where every consecutive letter pair has opposite signs.  The
     certificate and the away-from-identity guarantee are re-verified,
     against `forbidden` when given; a failed check clears `verified`.
+    `verts`, when given, are the path's vertices, `walk(start, labels)`,
+    handed on to the editor so that it does not walk the path again; the
+    verifier still walks it.
     """
     check_base_group(start)
     if any(abs(g) not in (1, 2, 3, 4) for g in labels):
         raise ValueError("rewriting applies to letter paths only")
     if sum(1 if g > 0 else -1 for g in labels) != 0:
         raise ValueError("path has nonzero exponent sum")
-    editor = PathEditor(GAMMA_1, start, labels)
+    editor = PathEditor(GAMMA_1, start, labels, verts=verts)
     min_original = min(map(distance_to_identity, map(editor.vertex, range(len(labels) + 1))))
     rewriter = _Rewriter(editor)
     trace = rewriter.run(0)
@@ -226,27 +231,29 @@ def rewrite_to_kernel_path(
 # ---------------------------------------------------------------------------
 
 def zero_sum_walks(start: SElement, max_len: int, region=frozenset()):
-    """(word, dipped) for each zero-sum letter word of length <= max_len.
+    """(word, verts, dipped) for each zero-sum letter word of length <= max_len.
 
     Walks depth first from start, stepping each prefix once and only while a
-    zero-sum completion fits; `dipped` says whether the path enters `region`.
+    zero-sum completion fits.  `verts` is the path's vertex tuple, equal to
+    `tuple(walk(start, word))`; `dipped` says whether the path enters
+    `region`.
     """
-    stack = [((), start, 0, start in region)]
+    stack = [((), (start,), 0, start in region)]
     while stack:
-        word, v, es, dipped = stack.pop()
+        word, verts, es, dipped = stack.pop()
         if es == 0:
-            yield word, dipped
+            yield word, verts, dipped
         room = max_len - len(word) - 1
         for g in (1, -1, 2, -2, 3, -3, 4, -4):
             es_g = es + (1 if g > 0 else -1)
             if abs(es_g) <= room:
-                w = step(v, g)
-                stack.append((word + (g,), w, es_g, dipped or w in region))
+                w = step(verts[-1], g)
+                stack.append((word + (g,), verts + (w,), es_g, dipped or w in region))
 
 
 def zero_sum_words(max_len: int) -> list[tuple[int, ...]]:
     """All zero-sum letter words of length <= max_len, shortest first, in walk order."""
-    return sorted((word for word, _ in zero_sum_walks(S_IDENTITY, max_len)), key=len)
+    return sorted((word for word, _, _ in zero_sum_walks(S_IDENTITY, max_len)), key=len)
 
 
 def transversal_bases() -> tuple[SElement, ...]:
@@ -293,11 +300,11 @@ def run_rewrite_suite(
     fallback_runs = 0
     max_moves = 0
     for base in bases:
-        for word, dipped in zero_sum_walks(base, max_len, region):
+        for word, verts, dipped in zero_sum_walks(base, max_len, region):
             if dipped:
                 skipped += 1
                 continue
-            report = rewrite_to_kernel_path(base, word, forbidden=region)
+            report = rewrite_to_kernel_path(base, word, forbidden=region, verts=verts)
             runs += 1
             verified += report.verified
             fallback_runs += report.fallback_partner_used

@@ -19,12 +19,15 @@ from stallings.complexes import (
 from stallings.elements import (
     S_IDENTITY,
     distance_to_identity,
+    in_base_group,
     s_from_word,
     s_invert,
     s_multiply,
+    s_parts,
     scan,
     step,
 )
+from stallings.words import reduce_mul
 
 
 def test_relator_table_shape():
@@ -113,6 +116,13 @@ def test_base_group_distance_matches_bfs():
     shifted = ball(spec, 3, start=base)
     for v, d in shifted.items():
         assert distance_to_identity(s_multiply(s_invert(base), v)) == d
+    # off the base group the distance is the published-form word length
+    off_base = 0
+    for v in ball(get_complex("x"), 2):
+        ab, cd, tail = s_parts(v)
+        assert distance_to_identity(v) == len(reduce_mul(ab, tail)) + len(cd)
+        off_base += not in_base_group(v)
+    assert off_base > 0
 
 
 def test_neighborhood_multisource():

@@ -192,13 +192,39 @@ def test_zero_sum_walks_flag_the_words_that_enter_the_region():
     flags = set()
     # "ab" lies inside the region; from "aBc" and "abCdA" only some words dip
     for base in map(s_from_word, ("ab", "aBc", "abCdA")):
-        walked = dict(zero_sum_walks(base, 4, region))
-        assert sorted(walked) == sorted(words)
-        assert sum(1 for _ in zero_sum_walks(base, 4, region)) == len(words)
-        for word, dipped in walked.items():
-            assert dipped == any(v in region for v in walk(base, word))
-        flags.add(frozenset(walked.values()))
+        walks = list(zero_sum_walks(base, 4, region))
+        assert sorted(word for word, _, _ in walks) == sorted(words)
+        for word, verts, dipped in walks:
+            assert verts == tuple(walk(base, word))
+            assert dipped == any(v in region for v in verts)
+        flags.add(frozenset(dipped for _, _, dipped in walks))
     assert flags == {frozenset({True}), frozenset({True, False})}
+
+
+def test_handed_vertices_give_the_same_report():
+    """The suite hands the walk's vertices on; the report must not change."""
+    base = transversal_bases()[7]
+    region = ForbiddenRegion(GAMMA_1, (S_IDENTITY,), 2)
+    walks = [w for w in zero_sum_walks(base, 4, region) if not w[2]]
+    assert len(walks) > 1000
+    for word, verts, _ in walks:
+        handed = rewrite_to_kernel_path(base, word, forbidden=region, verts=verts)
+        walked = rewrite_to_kernel_path(base, word, forbidden=region)
+        # certificate, cases, both distances, verified and the rest
+        assert handed == walked
+        assert handed.verified
+
+
+def test_handed_vertices_are_checked():
+    base = s_from_word("ac")
+    word = (1, 3, -1, -3)
+    verts = tuple(walk(base, word))
+    with pytest.raises(ValueError):
+        rewrite_to_kernel_path(base, word, verts=(S_IDENTITY,) + verts[1:])
+    with pytest.raises(ValueError):
+        rewrite_to_kernel_path(base, word, verts=verts[:-1])
+    with pytest.raises(ValueError):
+        rewrite_to_kernel_path(base, word, verts=verts + verts[-1:])
 
 
 def test_transversal_bases_cover_all_splits():
