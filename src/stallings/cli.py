@@ -142,7 +142,7 @@ def cmd_f2p(args):
         )
         return report, bool(report["all_verified"])
     base = s_from_word(args.base)
-    region = None
+    region = frozenset()
     if args.m is not None:
         region = ForbiddenRegion(get_complex("gamma_1"), (S_IDENTITY,), args.m)
     report = rewrite_to_kernel_path(
@@ -239,7 +239,7 @@ def cmd_dump_egen_table(args):
 def cmd_verify_cert(args):
     with open(args.file) as fh:
         cert = certificate_from_json(json.load(fh))
-    forbidden = _load_forbidden(args.forbidden) if args.forbidden else None
+    forbidden = _load_forbidden(args.forbidden) if args.forbidden else frozenset()
     res = verify_certificate(cert, forbidden)
     payload = {
         "kind": "verify-cert",
@@ -377,14 +377,18 @@ MODE_FLAGS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     if args.command in MODE_FLAGS:
         selector, unread_with, unread_without = MODE_FLAGS[args.command]
         given = getattr(args, selector[2:]) is not None
-        sub = args.subcommands[args.command]
-        for flag in unread_with if given else unread_without:
-            dest = flag[2:].replace("-", "_")
-            if getattr(args, dest) != sub.get_default(dest):
+        # a flag left out keeps its placeholder: argparse sets only missing defaults
+        unread = {f[2:].replace("-", "_"): f for f in (unread_with if given else unread_without)}
+        sub, unset = args.subcommands[args.command], object()
+        explicit = sub.parse_args(argv[argv.index(args.command) + 1 :],
+                                  argparse.Namespace(**dict.fromkeys(unread, unset)))
+        for dest, flag in unread.items():
+            if getattr(explicit, dest) is not unset:
                 sub.error(f"{flag} is not read {'with' if given else 'without'} {selector}")
     try:
         payload, ok = args.handler(args)

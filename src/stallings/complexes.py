@@ -9,12 +9,14 @@ means the same 2-cell in every complex containing it.  Relator ids:
     28..51  squares making the stable letter commute with kernel generator i
 
 Vertices are normal forms; edges are `step` by a signed generator.  Searches
-carry an explicit vertex budget so runaway queries fail loudly.
+step by each distinct generator value, `ComplexSpec.steps`, and carry an
+explicit vertex budget so runaway queries fail loudly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Container, Iterable
 
 from .elements import (
@@ -77,23 +79,18 @@ class ComplexSpec:
     gens: tuple[int, ...]
     relator_ids: tuple[int, ...]
     member: Callable[[SElement], bool]
-    _values: tuple[SElement, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        values = dict.fromkeys(GEN_VALUES[gen] for gen in self.signed_gens())
-        object.__setattr__(self, "_values", tuple(values))
-
-    def signed_gens(self) -> tuple[int, ...]:
-        return tuple(g for gen in self.gens for g in (gen, -gen))
-
-    def step_values(self) -> tuple[SElement, ...]:
-        """Distinct group values of the signed generators.
-
-        Distinct two-letter generator words can agree as group elements
-        (cross-factor pairs commute), so this is shorter than the signed
-        generator list; it is the right stepping set for metric questions.
-        """
-        return self._values
+    @cached_property
+    def steps(self) -> dict[SElement, int]:
+        """Each distinct group value of a signed generator (gen, then -gen,
+        in `gens` order), mapped to the first signed generator that has it;
+        cross-factor generator words commute, so values collide.  Every
+        search steps through it."""
+        steps: dict[SElement, int] = {}
+        for gen in self.gens:
+            for g in (gen, -gen):
+                steps.setdefault(GEN_VALUES[g], g)
+        return steps
 
 
 LETTER_GENS = (1, 2, 3, 4)
@@ -181,7 +178,7 @@ def neighborhood(
         if v not in dist:
             dist[v] = 0
             frontier.append(v)
-    values = spec.step_values()
+    values = tuple(spec.steps)
     for layer in range(1, radius + 1):
         next_frontier: list[SElement] = []
         for v in frontier:
@@ -217,6 +214,7 @@ def find_generator_path(
 ) -> tuple[int, ...] | None:
     """Shortest signed-generator word from start to goal avoiding a region.
 
+    Each edge is labelled by the first signed generator with its value.
     `forbidden` is any container of excluded vertices.  On an infinite
     complex a None return means the region separates the goal from the
     start; a budget overrun raises instead of returning None so the two
@@ -228,12 +226,12 @@ def find_generator_path(
         return ()
     parent: dict[SElement, tuple[SElement, int]] = {start: (start, 0)}
     frontier = [start]
-    gens = spec.signed_gens()
+    steps = spec.steps.items()
     while frontier:
         next_frontier: list[SElement] = []
         for v in frontier:
-            for gen in gens:
-                w = step(v, gen)
+            for value, gen in steps:
+                w = s_multiply(v, value)
                 if w in parent or w in forbidden:
                     continue
                 if len(parent) >= budget:
@@ -295,7 +293,7 @@ def sphere_complement_components(
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
     dist = ball(spec, R, budget=budget)
-    values = spec.step_values()
+    values = tuple(spec.steps)
     outer = [v for v, d in dist.items() if d == R]
     parent: list[int] = []  # union-find over fill ids
     sizes: list[int] = []  # vertices labelled by each fill

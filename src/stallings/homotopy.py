@@ -58,25 +58,18 @@ def inverse_path(labels: Sequence[int]) -> Labels:
     return tuple(-g for g in reversed(labels))
 
 
-def relator_form(rid: int, inv: int, rot: int) -> Labels:
-    """A relator word, optionally inverted, rotated by rot."""
-    rel = REL_WORDS[rid]
-    if inv:
-        rel = inverse_path(rel)
-    return rel[rot:] + rel[:rot]
+# CELL_FORMS[rid, inv, rot]: 2-cell rid's word, inverted if inv, rotated by rot
+CELL_FORMS: dict[tuple[int, int, int], Labels] = {
+    (rid, inv, rot): form[rot:] + form[:rot]
+    for rid, rel in enumerate(REL_WORDS)
+    for inv, form in enumerate((rel, inverse_path(rel)))
+    for rot in range(len(form))
+}
 
-
-def _build_relator_forms() -> dict[Labels, tuple[tuple[int, int, int], ...]]:
-    forms: dict[Labels, list[tuple[int, int, int]]] = {}
-    for rid in range(len(REL_WORDS)):
-        for inv in (0, 1):
-            for rot in range(len(REL_WORDS[rid])):
-                word = relator_form(rid, inv, rot)
-                forms.setdefault(word, []).append((rid, inv, rot))
-    return {word: tuple(hits) for word, hits in forms.items()}
-
-
-RELATOR_FORMS = _build_relator_forms()
+# RELATOR_FORMS[word] holds the encodings (rid, inv, rot) that read word
+RELATOR_FORMS: dict[Labels, tuple[tuple[int, int, int], ...]] = {}
+for _cell, _word in CELL_FORMS.items():
+    RELATOR_FORMS[_word] = RELATOR_FORMS.get(_word, ()) + (_cell,)
 
 
 def find_cell_move(
@@ -149,9 +142,10 @@ def _apply_move(
         _, pos, rid, inv, rot, split = move
         if rid not in spec.relator_ids:
             raise CertificateError(f"2-cell {rid} is not in {spec.name}")
-        if inv not in (0, 1) or not 0 <= rot < len(REL_WORDS[rid]):
+        # 0.0 and False hash like 0, but only int fields are an encoding
+        relator = type(rid) is type(inv) is type(rot) is int and CELL_FORMS.get((rid, inv, rot))
+        if not relator:
             raise CertificateError(f"2-cell {rid} has no form inv={inv}, rot={rot}")
-        relator = relator_form(rid, inv, rot)
         if not 0 <= split <= len(relator):
             raise CertificateError(f"split {split} out of range for 2-cell {rid}")
         if not 0 <= pos <= len(labels) - split:
@@ -173,12 +167,11 @@ def _apply_move(
 
 
 def verify_certificate(
-    cert: Certificate, forbidden: Container[SElement] | None = None
+    cert: Certificate, forbidden: Container[SElement] = frozenset()
 ) -> VerificationResult:
     """Replay a certificate, checking every move and every swept vertex.
 
-    `forbidden` is any container of vertices the homotopy must not touch;
-    None forbids nothing.
+    `forbidden` is any container of vertices the homotopy must not touch.
     """
     spec = get_complex(cert.complex_name)
     labels = list(cert.path)
@@ -187,7 +180,7 @@ def verify_certificate(
             return VerificationResult(False, f"path label {i} is not a generator", 0)
     verts = walk(cert.start, labels)
     swept = set(verts)
-    if forbidden is not None and any(v in forbidden for v in verts):
+    if any(v in forbidden for v in verts):
         return VerificationResult(False, "initial path enters forbidden region", 0)
     end = verts[-1]
     for mi, move in enumerate(cert.moves):
@@ -196,7 +189,7 @@ def verify_certificate(
         except CertificateError as exc:
             return VerificationResult(False, f"move {mi}: {exc}", mi)
         swept.update(created)
-        if forbidden is not None and any(v in forbidden for v in created):
+        if any(v in forbidden for v in created):
             return VerificationResult(False, f"move {mi} sweeps into forbidden region", mi)
     if tuple(labels) != cert.result:
         return VerificationResult(

@@ -182,7 +182,7 @@ class _Rewriter:
 def rewrite_to_kernel_path(
     start: SElement,
     labels: tuple[int, ...],
-    forbidden=None,
+    forbidden=frozenset(),
     *,
     verts=None,
 ) -> RewriteReport:
@@ -191,7 +191,7 @@ def rewrite_to_kernel_path(
     Returns a report whose certificate transforms the input path into one
     where every consecutive letter pair has opposite signs.  The
     certificate and the away-from-identity guarantee are re-verified,
-    against `forbidden` when given; a failed check clears `verified`.
+    against `forbidden`; a failed check clears `verified`.
     `verts`, when given, are the path's vertices, `walk(start, labels)`,
     handed on to the editor so that it does not walk the path again; the
     verifier still walks it.

@@ -5,14 +5,21 @@ tuples, with every vertex recomputed from scratch after each move.  Vertices
 come from the reference product below, not from the library's `step`, so
 the replay does not share the library's transition kernel.  Nor does it
 share its representation: the oracle works in the published (k, tail) form
-and converts only at its edges, through `s_parts` and `s_from_json`.
+and converts only at its edges, through `s_parts` and `s_from_json`.  It
+reads a cell move by inverting and rotating the relator word itself, not
+through the library's table of cell forms.
 """
 
 from typing import NamedTuple
 
-from stallings.complexes import ball, get_complex
-from stallings.elements import s_from_json, s_multiply, s_parts
-from stallings.homotopy import inverse_path, relator_form
+from stallings.complexes import (
+    DEFAULT_BUDGET,
+    REL_WORDS,
+    SearchBudgetExceeded,
+    ball,
+    get_complex,
+)
+from stallings.elements import s_from_json, s_multiply, s_parts, step
 from stallings.words import (
     EGEN_FIRST_ID,
     EGEN_WORDS,
@@ -69,6 +76,21 @@ def reference_step(x, gen):
     return reference_multiply(x, generator_value(gen))
 
 
+def _inverse(labels):
+    return tuple(-g for g in reversed(labels))
+
+
+def cell_form(rid, inv, rot):
+    """The word 2-cell rid reads, inverted if inv and rotated by rot, or
+    None when (inv, rot) is not one of its encodings."""
+    rel = REL_WORDS[rid]
+    if inv not in (0, 1) or not 0 <= rot < len(rel):
+        return None
+    if inv:
+        rel = _inverse(rel)
+    return rel[rot:] + rel[:rot]
+
+
 def _library_vertex(v):
     """The library vertex of a published form."""
     return s_from_json({"k": {"ab": v.ab, "cd": v.cd}, "tail": v.tail})
@@ -78,7 +100,7 @@ def _to_library(verts):
     return frozenset(map(_library_vertex, verts))
 
 
-def replay_certificate(cert, forbidden=None):
+def replay_certificate(cert, forbidden=frozenset()):
     """Returns (ok, reason, swept) computed independently of the library.
 
     The swept set holds library vertices, converted from the oracle's own
@@ -86,10 +108,6 @@ def replay_certificate(cert, forbidden=None):
     """
     spec = get_complex(cert.complex_name)
     gens = set(spec.gens)
-    if callable(forbidden) or forbidden is None:
-        blocked = forbidden
-    else:
-        blocked = lambda v: v in forbidden  # noqa: E731
 
     start = Published(*s_parts(cert.start))
 
@@ -118,16 +136,14 @@ def replay_certificate(cert, forbidden=None):
             labels = labels[:pos] + labels[pos + 2 :]
         elif kind == "cell":
             _, pos, rid, inv, rot, split = move
-            if rid not in spec.relator_ids or inv not in (0, 1):
+            r = cell_form(rid, inv, rot) if rid in spec.relator_ids else None
+            if r is None:
                 return False, f"move {mi} invalid", _to_library(swept)
-            if not 0 <= rot < len(relator_form(rid, 0, 0)):
-                return False, f"move {mi} invalid", _to_library(swept)
-            r = relator_form(rid, inv, rot)
             if not (0 <= split <= len(r) and 0 <= pos <= len(labels) - split):
                 return False, f"move {mi} invalid", _to_library(swept)
             if labels[pos : pos + split] != r[:split]:
                 return False, f"move {mi} invalid", _to_library(swept)
-            labels = labels[:pos] + inverse_path(r[split:]) + labels[pos + split :]
+            labels = labels[:pos] + _inverse(r[split:]) + labels[pos + split :]
         else:
             return False, f"move {mi} invalid", _to_library(swept)
         verts = vertices(labels)
@@ -136,7 +152,7 @@ def replay_certificate(cert, forbidden=None):
     swept = _to_library(swept)
     if labels != tuple(cert.result):
         return False, "result mismatch", swept
-    if blocked is not None and any(blocked(v) for v in swept):
+    if any(v in forbidden for v in swept):
         return False, "forbidden vertex swept", swept
     return True, None, swept
 
@@ -150,7 +166,7 @@ def reference_shell_components(spec, r, R):
     the component pass alone.
     """
     dist = ball(spec, R)
-    values = spec.step_values()
+    values = tuple(spec.steps)
     shell = {v for v, d in dist.items() if d > r}
     seen = set()
     sizes = []
@@ -180,3 +196,41 @@ def reference_shell_components(spec, r, R):
         "essential_components": essential,
         "component_sizes": sorted(sizes, reverse=True),
     }
+
+
+def reference_generator_path(
+    spec, start, goal, forbidden=frozenset(), budget=DEFAULT_BUDGET
+):
+    """`find_generator_path` by stepping every signed generator label in turn.
+
+    Each vertex tries all signed labels through the library's `step`; a
+    label whose value an earlier label has reaches a vertex already seen.
+    So the path, the budget overrun and the None for a goal the region
+    cuts off must all match the library's search by distinct values.
+    """
+    if start in forbidden or goal in forbidden:
+        return None
+    if start == goal:
+        return ()
+    labels = [g for gen in spec.gens for g in (gen, -gen)]
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for v in frontier:
+            for gen in labels:
+                w = step(v, gen)
+                if w in parent or w in forbidden:
+                    continue
+                if len(parent) >= budget:
+                    raise SearchBudgetExceeded(f"{spec.name}: reference search over budget")
+                parent[w] = (v, gen)
+                if w == goal:
+                    path = []
+                    while w != start:
+                        w, gen = parent[w]
+                        path.append(gen)
+                    return tuple(reversed(path))
+                next_frontier.append(w)
+        frontier = next_frontier
+    return None

@@ -276,6 +276,15 @@ def test_f2p_failure_is_the_same_under_optimize():
     assert json.loads(proc.stdout)["verified"] is False
 
 
+def test_unread_flag_at_its_default_exits_2_under_optimize():
+    for argv in (("pipeline", "--count", "2", "--max-level", "8"),
+                 ("reduce-demo", "--expr", '[["", 28, 1]]', "--seed", "0"),
+                 ("f2p", "--base", "aaa", "--word", "acAC", "--max-len", "6")):
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert "is not read" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_cert_is_the_same_under_optimize(tmp_path):
     # a wrapped rotation fails an explicit check of the verifier (exit 1);
     # a negative forbidden radius is bad input (exit 2)
@@ -393,6 +402,14 @@ def test_source_has_no_asserts():
                      "--max-level is not read without --word", id="pipeline-batch-max-level"),
         pytest.param(("pipeline", "--count", "2", "--with-timing"),
                      "--with-timing is not read without --word", id="pipeline-batch-with-timing"),
+        # given at its default value, an unread flag is still refused
+        pytest.param(("pipeline", "--count", "2", "--max-level", "8"),
+                     "--max-level is not read without --word",
+                     id="pipeline-batch-default-max-level"),
+        pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--seed", "0"),
+                     "--seed is not read with --expr", id="reduce-demo-expr-default-seed"),
+        pytest.param(("f2p", "--base", "aaa", "--word", "acAC", "--max-len", "6"),
+                     "--max-len is not read with --word", id="f2p-word-default-max-len"),
         pytest.param(("ends", "--r", "1", "--names", "gamma_1,gamma_1"),
                      "repeated complex name", id="ends-repeated-name"),
         pytest.param(("ends", "--r", "1,1", "--names", "gamma_1"), "repeated radius",

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from oracles import reference_shell_components
+from oracles import reference_generator_path, reference_shell_components
 
 from stallings.complexes import (
     COMMUTATOR_REL_IDS,
@@ -11,6 +13,7 @@ from stallings.complexes import (
     SearchBudgetExceeded,
     ball,
     ball_to_dot,
+    find_generator_path,
     get_complex,
     neighborhood,
     sphere_complement_components,
@@ -50,29 +53,38 @@ def test_registry_and_generator_counts():
     assert set(COMPLEXES) == {
         "gamma_k", "gamma_1", "gamma_2", "gamma_h", "gamma_h_bar", "x", "free_ab",
     }
-    assert len(get_complex("gamma_1").signed_gens()) == 8
-    assert len(get_complex("gamma_k").signed_gens()) == 48
-    assert len(get_complex("x").signed_gens()) == 58
+    assert len(signed_labels(get_complex("gamma_1"))) == 8
+    assert len(signed_labels(get_complex("gamma_k"))) == 48
+    assert len(signed_labels(get_complex("x"))) == 58
     # distinct stepping values are fewer: cross-factor generator words collide
-    assert len(get_complex("gamma_1").step_values()) == 8
-    assert len(get_complex("gamma_k").step_values()) == 16
-    assert len(get_complex("gamma_2").step_values()) == 24
-    assert len(get_complex("gamma_h").step_values()) == 18
-    assert len(get_complex("x").step_values()) == 26
-    assert len(get_complex("free_ab").step_values()) == 4
+    assert len(get_complex("gamma_1").steps) == 8
+    assert len(get_complex("gamma_k").steps) == 16
+    assert len(get_complex("gamma_2").steps) == 24
+    assert len(get_complex("gamma_h").steps) == 18
+    assert len(get_complex("x").steps) == 26
+    assert len(get_complex("free_ab").steps) == 4
     with pytest.raises(ValueError):
         get_complex("nope")
 
 
+def signed_labels(spec):
+    """Every signed generator of a complex: gen, then -gen, in `gens` order."""
+    return [g for gen in spec.gens for g in (gen, -gen)]
+
+
 def test_neighbor_slots():
     # one edge slot per signed generator; the slots reach exactly the
-    # vertices that BFS reaches through the distinct stepping values
+    # vertices that BFS reaches through the distinct stepping values, and
+    # each value steps as the first signed generator that has it
     v = s_from_word("aB")
     for name, slots in (("gamma_1", 8), ("gamma_k", 48), ("x", 58)):
         spec = get_complex(name)
-        assert len(spec.signed_gens()) == slots
-        reached = {step(v, gen) for gen in spec.signed_gens()}
-        assert reached == {s_multiply(v, value) for value in spec.step_values()}
+        assert len(signed_labels(spec)) == slots
+        reached = {}
+        for gen in signed_labels(spec):
+            reached.setdefault(step(v, gen), gen)
+        assert reached == {s_multiply(v, value): gen for value, gen in spec.steps.items()}
+        assert list(reached) == [s_multiply(v, value) for value in spec.steps]
 
 
 def test_ball_sphere_sizes():
@@ -148,6 +160,47 @@ def test_forbidden_region():
     assert s_from_word("ss") not in region
 
 
+def _path_or_overrun(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetExceeded:
+        return "over budget"
+
+
+@pytest.mark.parametrize("name", ["gamma_k", "x"])
+def test_find_generator_path_matches_label_stepping(name):
+    # stepping by each distinct value finds the path, the None and the
+    # budget overrun that stepping by every signed label finds
+    spec = get_complex(name)
+    labels = signed_labels(spec)
+    rng = random.Random(15)
+    region = ForbiddenRegion(spec, (S_IDENTITY,), 1)
+    for _ in range(6):
+        start = scan(rng.choices(labels, k=3))
+        goal = scan(rng.choices(labels, k=2), start=start)
+        for forbidden in (frozenset(), region):
+            expected = reference_generator_path(spec, start, goal, forbidden)
+            assert find_generator_path(spec, start, goal, forbidden) == expected
+    # the sphere of radius 2 cuts the identity off from a vertex at distance 3
+    sphere = {v for v, d in ball(spec, 2).items() if d == 2}
+    goal, _ = ball(spec, 3).popitem()
+    for search in (reference_generator_path, find_generator_path):
+        assert search(spec, S_IDENTITY, goal, sphere) is None
+    # on a detour past the region, the reference overruns budget lo and finds
+    # the path within budget hi = lo + 1; so does the library
+    start, goal = scan(labels[:1] * 2), scan(labels[2:3] * 2)
+    lo, hi = 1, 1 << 15
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        overrun = _path_or_overrun(reference_generator_path, spec, start, goal, region, mid)
+        lo, hi = (mid, hi) if overrun == "over budget" else (lo, mid)
+    for budget in (lo, hi):
+        args = (spec, start, goal, region, budget)
+        expected = _path_or_overrun(reference_generator_path, *args)
+        assert _path_or_overrun(find_generator_path, *args) == expected
+    assert expected != "over budget" and len(expected) > 2
+
+
 def test_ends_counts():
     rep = sphere_complement_components(get_complex("gamma_k"), 1, 3)
     assert rep["essential_components"] == 1
@@ -196,7 +249,7 @@ def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
     monkeypatch.setattr(complexes, "s_multiply", lambda x, y: calls.append(1) or s_multiply(x, y))
     rep = sphere_complement_components(spec, 1, 3)
     assert rep["components"] == 1
-    assert len(calls) == (sum(sizes[:3]) + sizes[2]) * len(spec.step_values())
+    assert len(calls) == (sum(sizes[:3]) + sizes[2]) * len(spec.steps)
 
 
 def test_ball_to_dot():

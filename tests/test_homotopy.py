@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from oracles import replay_certificate
+from oracles import cell_form, replay_certificate
 from stallings import homotopy
-from stallings.complexes import ForbiddenRegion, get_complex
+from stallings.complexes import REL_WORDS, ForbiddenRegion, get_complex
 from stallings.diagrams import random_expression
 from stallings.elements import (
     S_IDENTITY,
@@ -14,6 +14,7 @@ from stallings.elements import (
     scan,
 )
 from stallings.homotopy import (
+    CELL_FORMS,
     Certificate,
     CertificateError,
     PathEditor,
@@ -47,6 +48,20 @@ def test_relator_forms_are_all_trivial():
     for word, hits in RELATOR_FORMS.items():
         assert scan(word) == S_IDENTITY
         assert len(hits) == 1  # no two cells share a boundary reading
+
+
+def test_cell_forms_hold_each_canonical_encoding():
+    # the oracle's own inversion and rotation give every entry, and
+    # RELATOR_FORMS reads the table backwards
+    encodings = [
+        (rid, inv, rot)
+        for rid, rel in enumerate(REL_WORDS)
+        for inv in (0, 1)
+        for rot in range(len(rel))
+    ]
+    assert list(CELL_FORMS) == encodings and len(encodings) == 4 * 8 + 24 * 6 + 24 * 8
+    assert all(CELL_FORMS[cell] == cell_form(*cell) for cell in encodings)
+    assert {cell: word for word, cells in RELATOR_FORMS.items() for cell in cells} == CELL_FORMS
 
 
 def test_insert_delete_roundtrip():
@@ -118,6 +133,16 @@ def test_verify_rejects_malformed_certificates():
     )
     assert not verify_certificate(foreign_cell).ok
 
+    # a field that hashes like an int (0.0, False) or cannot be hashed is no
+    # canonical encoding either
+    _, pos, rid, inv, rot, split = good.moves[0]
+    for move in (("cell", pos, float(rid), inv, rot, split),
+                 ("cell", pos, rid, bool(inv), rot, split),
+                 ("cell", pos, rid, [inv], rot, split),
+                 ("cell", pos, rid, inv, float(rot), split)):
+        res = verify_certificate(dataclasses.replace(good, moves=(move,)))
+        assert not res.ok and "no form" in res.reason
+
 
 @pytest.mark.parametrize("field, shift", [(4, 4), (4, -4), (3, 2)])
 def test_non_canonical_cell_moves_are_rejected(field, shift):
@@ -140,8 +165,8 @@ def test_cell_that_does_not_close_is_rejected(monkeypatch):
     ed = PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac"))
     swap_adjacent(ed, 0)
     cert = ed.certificate()
-    real = homotopy.relator_form
-    monkeypatch.setattr(homotopy, "relator_form", lambda *a: real(*a)[:3] + (2,))
+    cell = cert.moves[0][2:5]
+    monkeypatch.setitem(homotopy.CELL_FORMS, cell, homotopy.CELL_FORMS[cell][:3] + (2,))
     res = verify_certificate(cert)
     assert not res.ok
     assert "does not close" in res.reason
@@ -391,7 +416,7 @@ def _fuzz_corpus(rng):
     while len(corpus) < 30:
         cert = rewrite_to_kernel_path(rng.choice(bases), rng.choice(words)).certificate
         if cert.moves:
-            corpus.append((cert, None))
+            corpus.append((cert, frozenset()))
     while len(corpus) < 40:
         cert = run_main_pipeline(*random_far_loop(rng), region=region).certificate
         if len(cert.moves) <= 40:
