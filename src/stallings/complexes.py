@@ -278,33 +278,29 @@ def sphere_complement_components(
     components is monotone in the number of ends; a control case with
     several ends separates from the one-ended cases already at small radii.
 
-    Components are the roots of one union-find over fill ids.  A flood fill
-    over the inner layers r+1 .. R-1 relabels each vertex it reaches in
-    `dist` as -1 - id, so every shell edge with an inner end is seen there.
-    A fill also labels each outer vertex (d == R) it reaches, or unites its
-    id with the label another fill left there.  An outer vertex no fill
-    reached gets an id of its own; that happens only when R == r + 1, since
-    otherwise its BFS parent is inner.  The edges left unseen join two outer
-    vertices, so the outer vertices are expanded last, uniting the labels of
-    their shell neighbours, and the pass stops once one component is left:
-    no edge can split it again.  On the one-ended complexes the inner fills
-    already leave one component, and no outer vertex is expanded.
+    Components are the roots of one union-find over labels, found in one
+    pass.  After a BFS out to radius r+1, each vertex of layer r+1 gets an
+    id of its own, stored in `dist` as the label -1 - id.  The BFS then
+    grows layers r+2 .. R from there: a new vertex takes the label of the
+    vertex that found it, and an edge that meets another label unites the
+    two.  So every shell edge with an inner end is seen from that end.  The
+    edges left unseen join two outer vertices (layer R, which is layer r+1
+    when R == r + 1), so the outer vertices are expanded last, uniting the
+    labels of their shell neighbours, and the pass stops once one component
+    is left: no edge can split it again.  On the one-ended complexes the
+    inner layers already leave one component, and no outer vertex is
+    expanded.
     """
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
-    dist = ball(spec, R, budget=budget)
+    dist = ball(spec, r + 1, budget=budget)
     values = tuple(spec.steps)
-    outer = [v for v, d in dist.items() if d == R]
-    parent: list[int] = []  # union-find over fill ids
-    sizes: list[int] = []  # vertices labelled by each fill
+    frontier = [v for v, d in dist.items() if d == r + 1]
+    for i, v in enumerate(frontier):
+        dist[v] = -1 - i
+    parent = list(range(len(frontier)))  # union-find over ids
+    sizes = [1] * len(frontier)  # vertices labelled by each id
     merges = 0
-
-    def new_label(v: SElement) -> int:
-        """Give v a fill id of its own and return its label, -1 - id."""
-        parent.append(len(parent))
-        sizes.append(1)
-        label = dist[v] = -len(parent)
-        return label
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -312,33 +308,30 @@ def sphere_complement_components(
         return i
 
     def union(i: int, j: int) -> bool:
-        """Join the components of fill ids i and j; True if they were apart."""
+        """Join the components of ids i and j; True if they were apart."""
         i, j = find(i), find(j)
         parent[j] = i
         return i != j
 
-    for v, d in dist.items():
-        if not r < d < R:
-            continue
-        label = new_label(v)
-        fill = -1 - label
-        stack = [v]
-        while stack:
-            u = stack.pop()
+    for _ in range(r + 2, R + 1):
+        next_frontier: list[SElement] = []
+        for v in frontier:
+            label = dist[v]
             for value in values:
-                w = s_multiply(u, value)
-                dw = dist.get(w, 0)
-                if r < dw <= R:
+                w = s_multiply(v, value)
+                dw = dist.get(w)
+                if dw is None:
+                    if len(dist) >= budget:
+                        raise SearchBudgetExceeded(
+                            f"{spec.name}: radius-{R} search exceeded {budget} vertices"
+                        )
                     dist[w] = label
-                    sizes[fill] += 1
-                    if dw < R:
-                        stack.append(w)
+                    sizes[-1 - label] += 1
+                    next_frontier.append(w)
                 elif dw < 0 and dw != label:
-                    # an outer vertex labelled by an earlier fill
-                    merges += union(-1 - dw, fill)
-    for v in outer:
-        if dist[v] == R:
-            new_label(v)
+                    merges += union(-1 - label, -1 - dw)
+        frontier = next_frontier
+    outer = frontier
     for v in outer:
         if len(parent) - merges <= 1:
             break

@@ -15,10 +15,12 @@ path with the same endpoints.  Moves:
 
 Every move fixes the path's endpoints, so a verified certificate is a
 homotopy rel endpoints; with an empty final path it is a null-homotopy.
-Verification walks the moves, checks each against the labels it claims to
-act on, and tests every vertex the homotopy sweeps over against an optional
-forbidden region.  Endpoint preservation inside a cell move follows from
-the relator being trivial in the group, which is checked, not assumed.
+Verification checks that the start is a vertex of the named complex (a walk
+by its generators stays in the start's coset, so every vertex is), walks the
+moves, checks each against the labels it claims to act on, and tests every
+vertex the homotopy sweeps over against an optional forbidden region.
+Endpoint preservation inside a cell move follows from the relator being
+trivial in the group, which is checked, not assumed.
 
 `PathEditor` applies moves against live state so that positions are always
 correct, and turns the recorded history into a certificate.  The block
@@ -174,6 +176,8 @@ def verify_certificate(
     `forbidden` is any container of vertices the homotopy must not touch.
     """
     spec = get_complex(cert.complex_name)
+    if not spec.member(cert.start):
+        return VerificationResult(False, f"start is not a vertex of {spec.name}", 0)
     labels = list(cert.path)
     for i, gen in enumerate(labels):
         if abs(gen) not in spec.gens:

@@ -91,6 +91,24 @@ def cell_form(rid, inv, rot):
     return rel[rot:] + rel[:rot]
 
 
+# Which published forms (ab, cd, tail) are vertices of each complex: the
+# kernel K has no tail, the base group G a power of a, K x <s> a power of s,
+# and F(a,b) is the part of G with no cd part.
+def _tail_over(letters):
+    return lambda v: set(v.tail) <= set(letters)
+
+
+VERTEX_TESTS = {
+    "gamma_k": lambda v: v.tail == "",
+    "gamma_1": _tail_over("aA"),
+    "gamma_2": _tail_over("aA"),
+    "gamma_h": _tail_over("sS"),
+    "gamma_h_bar": _tail_over("sS"),
+    "x": lambda v: True,
+    "free_ab": lambda v: v.cd == "" and _tail_over("aA")(v),
+}
+
+
 def _library_vertex(v):
     """The library vertex of a published form."""
     return s_from_json({"k": {"ab": v.ab, "cd": v.cd}, "tail": v.tail})
@@ -110,6 +128,8 @@ def replay_certificate(cert, forbidden=frozenset()):
     gens = set(spec.gens)
 
     start = Published(*s_parts(cert.start))
+    if not VERTEX_TESTS[cert.complex_name](start):
+        return False, f"start is not a vertex of {cert.complex_name}", frozenset()
 
     def vertices(labels):
         verts = [start]

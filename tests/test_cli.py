@@ -285,23 +285,37 @@ def test_unread_flag_at_its_default_exits_2_under_optimize():
         assert "is not read" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# the path a c pushed across one commutator cell, walked from s, outside gamma_1
+OUTSIDE_CERT = {
+    **VALID_CERT,
+    "start": {"k": {"ab": "", "cd": ""}, "tail": "s"},
+    "moves": [["cell", 0, 0, 0, 0, 2]],
+    "result": ["c", "a"],
+}
+
+
 def test_verify_cert_is_the_same_under_optimize(tmp_path):
-    # a wrapped rotation fails an explicit check of the verifier (exit 1);
-    # a negative forbidden radius is bad input (exit 2)
-    cert_file = tmp_path / "cert.json"
-    cert_file.write_text(json.dumps(
-        {**VALID_CERT, "moves": [["cell", 0, 0, 0, 4, 2]], "result": ["c", "a"]}
-    ))
+    # a wrapped rotation and a start outside the complex each fail an explicit
+    # check of the verifier (exit 1); a negative forbidden radius is bad input
+    # (exit 2)
+    wrapped = {**VALID_CERT, "moves": [["cell", 0, 0, 0, 4, 2]], "result": ["c", "a"]}
     forbidden = tmp_path / "forbidden.json"
     forbidden.write_text(json.dumps({"radius": -1}))
-    for extra, code in (((), 1), (("--forbidden", str(forbidden)), 2)):
+    for i, (cert, extra, code, reason) in enumerate((
+        (wrapped, (), 1, "move 0: 2-cell 0 has no form inv=0, rot=4"),
+        (OUTSIDE_CERT, (), 1, "start is not a vertex of gamma_1"),
+        (wrapped, ("--forbidden", str(forbidden)), 2, None),
+    )):
+        cert_file = tmp_path / f"cert{i}.json"
+        cert_file.write_text(json.dumps(cert))
         argv = ("verify-cert", str(cert_file), *extra)
         plain, optimized = run_module(*argv, optimize=False), run_module(*argv)
         assert plain.returncode == optimized.returncode == code
         assert plain.stdout == optimized.stdout
         assert "Traceback" not in plain.stderr + optimized.stderr
         if code == 1:
-            assert json.loads(optimized.stdout)["ok"] is False
+            report = json.loads(optimized.stdout)
+            assert (report["ok"], report["reason"]) == (False, reason)
 
 
 def test_source_has_no_asserts():
@@ -422,6 +436,13 @@ def test_source_has_no_asserts():
                      id="ends-empty-radius"),
         pytest.param(("ends", "--r", "1,-2"), "argument --r: must be comma-separated",
                      id="ends-negative-radius"),
+        # gamma_h at r=1, R=3 runs out inside the radius-2 ball, or past it
+        pytest.param(("ends", "--r", "1", "--names", "gamma_h", "--budget", "100"),
+                     "gamma_h: radius-2 search exceeded 100 vertices",
+                     id="ends-budget-inside-the-inner-ball"),
+        pytest.param(("ends", "--r", "1", "--names", "gamma_h", "--budget", "1000"),
+                     "gamma_h: radius-3 search exceeded 1000 vertices",
+                     id="ends-budget-past-the-inner-ball"),
         pytest.param(("verify-cert", {"path": 5}), "'path'", id="cert-path-not-a-list"),
         pytest.param(("verify-cert", {"description": ["x"]}), "'description'",
                      id="cert-description-not-a-string"),

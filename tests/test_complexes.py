@@ -1,11 +1,17 @@
 import random
 
 import pytest
-from oracles import reference_generator_path, reference_shell_components
+from oracles import (
+    VERTEX_TESTS,
+    Published,
+    reference_generator_path,
+    reference_shell_components,
+)
 
 from stallings.complexes import (
     COMMUTATOR_REL_IDS,
     COMPLEXES,
+    DEFAULT_BUDGET,
     REL_WORDS,
     SQUARE_REL_IDS,
     TRIANGLE_REL_IDS,
@@ -103,6 +109,14 @@ def test_ball_vertices_satisfy_membership():
         spec = get_complex(name)
         for v in ball(spec, 2):
             assert spec.member(v), (name, v)
+
+
+def test_oracle_vertex_tests_match_membership():
+    # the oracle's rule on the published form is the library's member test
+    for v in ball(get_complex("x"), 2):
+        published = Published(*s_parts(v))
+        for name, spec in COMPLEXES.items():
+            assert VERTEX_TESTS[name](published) == spec.member(v), (name, v)
 
 
 def test_ball_around_coset_representative():
@@ -220,9 +234,17 @@ def test_ends_counts():
 
 
 # every gap of 1 to 3 with R <= 3, and R = 4 where the ball stays small.  Gap 1
-# expands outer vertices (gamma_2 stops early there); free_ab keeps many roots
+# expands outer vertices (gamma_2 stops early there); free_ab keeps many roots.
+# At (1, 4) labels pass from layer 2 through two grown layers
 SHELLS = [(r, R) for R in (1, 2, 3) for r in range(R)]
 SMALL_SHELLS = [(r, 4) for r in (1, 2, 3)]
+EXTRA_SHELLS = {
+    "gamma_1": SMALL_SHELLS,
+    "free_ab": SMALL_SHELLS,
+    "gamma_k": [(1, 4)],
+    "gamma_h": [(1, 4)],
+    "gamma_h_bar": [(1, 4)],
+}
 REFERENCE_FIELDS = (
     "ball_size", "shell_size", "components", "essential_components", "component_sizes"
 )
@@ -231,16 +253,16 @@ REFERENCE_FIELDS = (
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
 def test_shell_components_agree_with_oracle(name):
     spec = get_complex(name)
-    for r, R in SHELLS + (SMALL_SHELLS if name in ("gamma_1", "free_ab") else []):
+    for r, R in SHELLS + EXTRA_SHELLS.get(name, []):
         rep = sphere_complement_components(spec, r, R)
         assert {k: rep[k] for k in ("complex", "r", "R")} == {"complex": name, "r": r, "R": R}
         assert {k: rep[k] for k in REFERENCE_FIELDS} == reference_shell_components(spec, r, R)
 
 
 def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
-    # the inner fills of gamma_k already leave one component, so the products
-    # are those of the BFS (every vertex below R) and of the fills (every
-    # inner vertex), and none of an outer vertex
+    # the inner layers of gamma_k already leave one component, so the only
+    # products are the one pass's (each vertex below R once), and none of an
+    # outer vertex
     import stallings.complexes as complexes
 
     spec = get_complex("gamma_k")
@@ -249,7 +271,30 @@ def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
     monkeypatch.setattr(complexes, "s_multiply", lambda x, y: calls.append(1) or s_multiply(x, y))
     rep = sphere_complement_components(spec, 1, 3)
     assert rep["components"] == 1
-    assert len(calls) == (sum(sizes[:3]) + sizes[2]) * len(spec.steps)
+    assert len(calls) == sum(sizes[:3]) * len(spec.steps)
+
+
+def _overruns(search, *args, budget):
+    try:
+        search(*args, budget=budget)
+    except SearchBudgetExceeded:
+        return True
+    return False
+
+
+def test_ends_budget_trips_where_the_ball_does():
+    # the pass inserts vertices in the order ball(R) does, so it runs out at
+    # exactly the budgets at which ball(R) does, inside the (r+1)-ball or not
+    spec = get_complex("gamma_h")
+    lo, hi = 0, DEFAULT_BUDGET  # ball(R) overruns at lo and not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _overruns(ball, spec, 3, budget=mid) else (lo, mid)
+    inner = len(ball(spec, 2))
+    for budget in (1, inner - 1, inner, lo, hi):
+        assert _overruns(sphere_complement_components, spec, 1, 3, budget=budget) == (
+            budget <= lo
+        ), budget
 
 
 def test_ball_to_dot():

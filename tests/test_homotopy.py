@@ -360,6 +360,34 @@ def test_oracle_agreement_on_random_certificates():
         assert not res_bad.ok and not ok_bad
 
 
+def _swap_from_s():
+    # a c -> c a by one commutator cell, walked in the coset s G
+    ed = PathEditor(GAMMA1, s_from_word("s"), parse_gens("ac"))
+    swap_adjacent(ed, 0)
+    return ed.certificate()
+
+
+@pytest.mark.parametrize(
+    "make_cert",
+    [
+        pytest.param(_swap_from_s, id="gamma_1-from-s"),
+        pytest.param(lambda: Certificate("gamma_k", s_from_word("a"), parse_gens("e1 E1"),
+                                         (("del", 0),), ()), id="gamma_k-from-a"),
+    ],
+)
+def test_certificate_outside_its_complex_is_rejected(make_cert):
+    # the moves are sound, but no vertex of the walk lies in the complex
+    cert = make_cert()
+    reason = f"start is not a vertex of {cert.complex_name}"
+    res = verify_certificate(cert)
+    assert (res.ok, res.reason, res.moves_checked) == (False, reason, 0)
+    assert replay_certificate(cert) == (False, reason, frozenset())
+    # the same moves from the identity verify, and the oracle agrees
+    moved = dataclasses.replace(cert, start=S_IDENTITY)
+    res = verify_certificate(moved)
+    assert res.ok and replay_certificate(moved) == (True, None, res.swept)
+
+
 def test_certificate_json_roundtrip():
     ed = _random_editor(random.Random(3))
     cert = ed.certificate("roundtrip example")
