@@ -39,7 +39,7 @@ from .pipeline import (
     run_reduce_batch,
     run_reduce_demo,
 )
-from .rewrite import rewrite_to_kernel_path, run_rewrite_suite, transversal_bases
+from .rewrite import rewrite_to_kernel_path, run_rewrite_suite
 from .words import egen_table, kernel_identity_report, one_ended_reduction_report
 
 
@@ -137,9 +137,7 @@ def cmd_ball(args):
 
 def cmd_f2p(args):
     if args.word is None:
-        report = run_rewrite_suite(
-            transversal_bases(), max_len=args.max_len, m=args.m
-        )
+        report = run_rewrite_suite(max_len=args.max_len, m=args.m)
         return report, bool(report["all_verified"])
     base = s_from_word(args.base)
     region = frozenset()

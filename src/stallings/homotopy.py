@@ -15,10 +15,11 @@ path with the same endpoints.  Moves:
 
 Every move fixes the path's endpoints, so a verified certificate is a
 homotopy rel endpoints; with an empty final path it is a null-homotopy.
-Verification checks that the start is a vertex of the named complex (a walk
-by its generators stays in the start's coset, so every vertex is), walks the
-moves, checks each against the labels it claims to act on, and tests every
-vertex the homotopy sweeps over against an optional forbidden region.
+Verification checks that the start is a normal form and a vertex of the
+named complex (a walk by its generators stays in the start's coset, so every
+vertex is), walks the moves, checks each against the labels it claims to act
+on, and tests every vertex the homotopy sweeps over against an optional
+forbidden region.
 Endpoint preservation inside a cell move follows from the relator being
 trivial in the group, which is checked, not assumed.
 
@@ -32,6 +33,7 @@ contraction) out of single moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Container, Iterable, Sequence
 
 from .complexes import ComplexSpec, REL_WORDS, get_complex
@@ -39,9 +41,11 @@ from .elements import (
     SElement,
     gen_to_token,
     s_from_json,
+    s_parts,
     s_to_json,
     step,
     token_to_gen,
+    validate_s,
     walk,
 )
 from .words import EGEN_LETTERS, LETTERS_EGEN, S_ID
@@ -50,6 +54,8 @@ Move = tuple
 Labels = tuple[int, ...]
 
 CERTIFICATE_SCHEMA = "homotopy-certificate/1"
+
+MOVE_ARITY = {"ins": 3, "del": 2, "cell": 6}
 
 
 class CertificateError(ValueError):
@@ -120,7 +126,12 @@ def _apply_move(
     Raises CertificateError when the move does not match the labels or
     does not fix the path's endpoints.
     """
-    kind = move[0]
+    # a move is a tuple of its kind and int fields (0.0 and True compare like
+    # ints but are none); a cell's rid, inv and rot are checked with its form
+    kind = move[0] if type(move) is tuple and move else None
+    if (type(kind) is not str or MOVE_ARITY.get(kind) != len(move)
+            or not type(move[1]) is type(move[-1]) is int):
+        raise CertificateError(f"malformed move {move!r}")
     if kind == "ins":
         _, pos, gen = move
         if not 0 <= pos <= len(labels):
@@ -165,7 +176,16 @@ def _apply_move(
         labels[pos : pos + split] = replacement
         verts[pos + 1 : pos + split] = created
         return created
-    raise CertificateError(f"unknown move kind {kind!r}")
+
+
+@lru_cache(maxsize=256)
+def _is_normal_form(x: SElement) -> bool:
+    """Whether x, three strings, is a vertex as `validate_s` stores one; cached,
+    as the rewrite suite verifies a basepoint's certificates from one start."""
+    try:
+        return validate_s(*s_parts(x)) == x
+    except ValueError:
+        return False
 
 
 def verify_certificate(
@@ -176,13 +196,15 @@ def verify_certificate(
     `forbidden` is any container of vertices the homotopy must not touch.
     """
     spec = get_complex(cert.complex_name)
-    if not spec.member(cert.start):
+    start = cert.start
+    if not (type(start) is SElement and set(map(type, start)) == {str}
+            and _is_normal_form(start) and spec.member(start)):
         return VerificationResult(False, f"start is not a vertex of {spec.name}", 0)
     labels = list(cert.path)
     for i, gen in enumerate(labels):
         if abs(gen) not in spec.gens:
             return VerificationResult(False, f"path label {i} is not a generator", 0)
-    verts = walk(cert.start, labels)
+    verts = walk(start, labels)
     swept = set(verts)
     if any(v in forbidden for v in verts):
         return VerificationResult(False, "initial path enters forbidden region", 0)
@@ -210,9 +232,6 @@ def _move_to_json(move: Move) -> list:
     if move[0] == "ins":
         return ["ins", move[1], gen_to_token(move[2])]
     return list(move)
-
-
-MOVE_ARITY = {"ins": 3, "del": 2, "cell": 6}
 
 
 def _move_from_json(data: Sequence) -> Move:

@@ -285,7 +285,7 @@ def run_main_pipeline(
 # ---------------------------------------------------------------------------
 
 def run_reduce_demo(
-    factors: Sequence[ConjugateFactor | tuple],
+    factors: Sequence[ConjugateFactor],
     start: SElement | None = None,
     region: ForbiddenRegion = DEFAULT_REGION,
     budget: int = DEFAULT_BUDGET,
@@ -302,9 +302,6 @@ def run_reduce_demo(
     final stable-free residue contracts inside the base-group complex.
     """
     t0 = time.monotonic()
-    factors = tuple(
-        f if isinstance(f, ConjugateFactor) else ConjugateFactor(*f) for f in factors
-    )
     diagram = build_diagram(factors)
     decomposition = extract_bands(diagram)
     boundary = diagram.boundary_word()

@@ -118,6 +118,25 @@ def _to_library(verts):
     return frozenset(map(_library_vertex, verts))
 
 
+def is_published_form(v):
+    """Whether (ab, cd, tail) is a normal form: each part a reduced word over
+    its own letters, and k = (ab, cd) in the kernel."""
+    signs = sum(1 if ch.islower() else -1 for ch in v.ab + v.cd)
+    return signs == 0 and all(
+        set(part) <= set(letters) and reduce_word(part) == part
+        for part, letters in zip(v, ("abAB", "cdCD", "asAS"))
+    )
+
+
+def is_move(move):
+    """A move is a tuple of its kind and as many int fields as the kind takes."""
+    return (
+        type(move) is tuple
+        and (move[:1], len(move)) in ((("ins",), 3), (("del",), 2), (("cell",), 6))
+        and all(type(x) is int for x in move[1:])
+    )
+
+
 def replay_certificate(cert, forbidden=frozenset()):
     """Returns (ok, reason, swept) computed independently of the library.
 
@@ -127,8 +146,13 @@ def replay_certificate(cert, forbidden=frozenset()):
     spec = get_complex(cert.complex_name)
     gens = set(spec.gens)
 
+    # the start must be stored as the library stores its published form
     start = Published(*s_parts(cert.start))
-    if not VERTEX_TESTS[cert.complex_name](start):
+    if not (
+        is_published_form(start)
+        and _library_vertex(start) == cert.start
+        and VERTEX_TESTS[cert.complex_name](start)
+    ):
         return False, f"start is not a vertex of {cert.complex_name}", frozenset()
 
     def vertices(labels):
@@ -143,6 +167,8 @@ def replay_certificate(cert, forbidden=frozenset()):
     swept = set(vertices(labels))
     end = vertices(labels)[-1]
     for mi, move in enumerate(cert.moves):
+        if not is_move(move):
+            return False, f"move {mi} invalid", _to_library(swept)
         kind = move[0]
         if kind == "ins":
             _, pos, gen = move

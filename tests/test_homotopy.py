@@ -9,6 +9,7 @@ from stallings.complexes import REL_WORDS, ForbiddenRegion, get_complex
 from stallings.diagrams import random_expression
 from stallings.elements import (
     S_IDENTITY,
+    SElement,
     parse_gens,
     s_from_word,
     scan,
@@ -142,6 +143,30 @@ def test_verify_rejects_malformed_certificates():
                  ("cell", pos, rid, inv, float(rot), split)):
         res = verify_certificate(dataclasses.replace(good, moves=(move,)))
         assert not res.ok and "no form" in res.reason
+
+    # a move of the wrong arity, or with a field that compares like an int but
+    # is none, fails its check; with int fields each certificate would verify
+    for path, move, result in (
+        ((1, -1), ("del", 0.0), ()),
+        ((3, 1, -1), ("del", True), (3,)),
+        ((), ("ins", 0.0, 1), (1, -1)),
+        ((), ("ins", 0, 1.0), (1, -1)),
+        ((), ("ins", 0, True), (1, -1)),
+        ((1, 3), ("cell", 0, 0, 0, 0, 2.0), (3, 1)),
+        ((1, -1), ("del",), ()),
+        ((), None, ()),
+    ):
+        bad = Certificate("gamma_1", S_IDENTITY, path, (move,), result)
+        res = verify_certificate(bad)
+        assert (res.ok, res.moves_checked) == (False, 0)
+        assert res.reason == f"move 0: malformed move {move!r}"
+        assert not replay_certificate(bad)[0]
+
+    # so does a start that is not a vertex made of three strings
+    for start in (None, ("", "", ""), SElement(1, 2, 3), SElement(["a"], "", "")):
+        res = verify_certificate(Certificate("gamma_1", start, (), (), ()))
+        assert (res.ok, res.reason, res.moves_checked) == (
+            False, "start is not a vertex of gamma_1", 0)
 
 
 @pytest.mark.parametrize("field, shift", [(4, 4), (4, -4), (3, 2)])
@@ -373,14 +398,22 @@ def _swap_from_s():
         pytest.param(_swap_from_s, id="gamma_1-from-s"),
         pytest.param(lambda: Certificate("gamma_k", s_from_word("a"), parse_gens("e1 E1"),
                                          (("del", 0),), ()), id="gamma_k-from-a"),
+        # a start that is no normal form: the walk never reduces to the
+        # identity, so a forbidden identity is never matched
+        pytest.param(lambda: Certificate("gamma_1", SElement("aA", "", ""), (3, -3),
+                                         (("del", 0),), ()), id="gamma_1-from-unreduced"),
+        # p_ab unreduced, though its published parts (a, C, A) are a normal form
+        pytest.param(lambda: Certificate("gamma_1", SElement("aA", "C", "A"), (3, -3),
+                                         (("del", 0),), ()), id="gamma_1-from-unstored"),
     ],
 )
 def test_certificate_outside_its_complex_is_rejected(make_cert):
-    # the moves are sound, but no vertex of the walk lies in the complex
+    # the moves are sound, but the start is no vertex of the complex
     cert = make_cert()
     reason = f"start is not a vertex of {cert.complex_name}"
     res = verify_certificate(cert)
     assert (res.ok, res.reason, res.moves_checked) == (False, reason, 0)
+    assert not verify_certificate(cert, frozenset({S_IDENTITY})).ok
     assert replay_certificate(cert) == (False, reason, frozenset())
     # the same moves from the identity verify, and the oracle agrees
     moved = dataclasses.replace(cert, start=S_IDENTITY)

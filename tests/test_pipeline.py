@@ -10,6 +10,7 @@ from stallings.complexes import (
     find_generator_path,
     get_complex,
 )
+from stallings.diagrams import ConjugateFactor
 from stallings.elements import (
     S_IDENTITY,
     distance_to_identity,
@@ -143,7 +144,7 @@ def test_compose_certificates_rejects_broken_chain():
 
 
 def test_reduce_demo_single_square():
-    report = run_reduce_demo([((), SQUARE_REL_IDS[0], 1)])
+    report = run_reduce_demo([ConjugateFactor((), SQUARE_REL_IDS[0], 1)])
     assert report.verified
     s = report.summary
     assert s["boundary"] == "se1SE1"
@@ -155,7 +156,8 @@ def test_reduce_demo_single_square():
 
 
 def test_reduce_demo_nested_bands():
-    factors = [((5, 11), SQUARE_REL_IDS[0], 1), ((), SQUARE_REL_IDS[5], 1)]
+    factors = [ConjugateFactor((5, 11), SQUARE_REL_IDS[0], 1),
+               ConjugateFactor((), SQUARE_REL_IDS[5], 1)]
     report = run_reduce_demo(factors)
     assert report.verified
     assert report.summary["bands"] == 2
@@ -164,7 +166,7 @@ def test_reduce_demo_nested_bands():
 
 
 def test_reduce_demo_self_paired_band():
-    report = run_reduce_demo([((5,), 0, 1)])
+    report = run_reduce_demo([ConjugateFactor((5,), 0, 1)])
     assert report.verified
     assert report.summary["bands"] == 1
     assert report.summary["self_paired_bands"] == 1
@@ -173,7 +175,7 @@ def test_reduce_demo_self_paired_band():
 
 
 def test_reduce_demo_mirror_pair_collapses():
-    factors = [((1, 3), 4, 1), ((1, 3), 4, -1)]
+    factors = [ConjugateFactor((1, 3), 4, 1), ConjugateFactor((1, 3), 4, -1)]
     report = run_reduce_demo(factors)
     assert report.verified
     assert report.summary["boundary_length"] == 0
@@ -184,7 +186,7 @@ def test_reduce_demo_mirror_pair_collapses():
 def test_reduce_demo_respects_given_region():
     region = ForbiddenRegion(X, (S_IDENTITY,), 2)
     report = run_reduce_demo(
-        [((), SQUARE_REL_IDS[0], 1)], start=far_basepoint(8), region=region
+        [ConjugateFactor((), SQUARE_REL_IDS[0], 1)], start=far_basepoint(8), region=region
     )
     assert report.verified
     ok, _, swept = replay_certificate(report.certificate)
