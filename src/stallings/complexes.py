@@ -118,19 +118,19 @@ COMPLEXES: dict[str, ComplexSpec] = {
         ),
         ComplexSpec(
             "gamma_h",
-            (5,) + EGEN_IDS,
+            (S_ID,) + EGEN_IDS,
             (),
             _tail_is_s_power,
         ),
         ComplexSpec(
             "gamma_h_bar",
-            (5,) + EGEN_IDS,
+            (S_ID,) + EGEN_IDS,
             SQUARE_REL_IDS,
             _tail_is_s_power,
         ),
         ComplexSpec(
             "x",
-            LETTER_GENS + (5,) + EGEN_IDS,
+            LETTER_GENS + (S_ID,) + EGEN_IDS,
             tuple(range(len(REL_WORDS))),
             lambda v: True,
         ),

@@ -327,9 +327,6 @@ class Band:
     faces: tuple[int, ...]
     side: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.faces)
-
 
 @dataclass
 class BandDecomposition:
@@ -418,8 +415,8 @@ def band_invariants(dia: Diagram) -> dict[str, object]:
     return {
         "boundary_length": len(word),
         "bands": len(bands),
-        "squares": sum(len(b) for b in bands),
-        "band_lengths": [len(b) for b in bands],
+        "squares": sum(len(b.faces) for b in bands),
+        "band_lengths": [len(b.faces) for b in bands],
         "depths": decomposition.depths,
         "self_paired": sum(1 for b in bands if not b.faces),
     }

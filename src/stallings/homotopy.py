@@ -127,7 +127,7 @@ def _apply_move(
     does not fix the path's endpoints.
     """
     # a move is a tuple of its kind and int fields (0.0 and True compare like
-    # ints but are none); a cell's rid, inv and rot are checked with its form
+    # ints but are none); a cell's rid, inv and rot are checked in its branch
     kind = move[0] if type(move) is tuple and move else None
     if (type(kind) is not str or MOVE_ARITY.get(kind) != len(move)
             or not type(move[1]) is type(move[-1]) is int):
@@ -153,11 +153,12 @@ def _apply_move(
         return []
     if kind == "cell":
         _, pos, rid, inv, rot, split = move
+        if not type(rid) is type(inv) is type(rot) is int:
+            raise CertificateError(f"malformed move {move!r}")
         if rid not in spec.relator_ids:
             raise CertificateError(f"2-cell {rid} is not in {spec.name}")
-        # 0.0 and False hash like 0, but only int fields are an encoding
-        relator = type(rid) is type(inv) is type(rot) is int and CELL_FORMS.get((rid, inv, rot))
-        if not relator:
+        relator = CELL_FORMS.get((rid, inv, rot))
+        if relator is None:
             raise CertificateError(f"2-cell {rid} has no form inv={inv}, rot={rot}")
         if not 0 <= split <= len(relator):
             raise CertificateError(f"split {split} out of range for 2-cell {rid}")
@@ -438,21 +439,15 @@ def expand_kernel_generators(editor: PathEditor, pos: int, count: int) -> int:
     return cursor - pos
 
 
-def conjugate_by_stable(editor: PathEditor, pos: int, length: int) -> None:
-    """Wrap the segment at pos in a stable-letter conjugate.
-
-    The segment must consist of kernel-generator labels; one insertion and
-    `length` square swaps slide the inverse stable letter across it, leaving
-    (s, segment, s^-1).
-    """
-    editor.insert_backtrack(pos, S_ID)
-    commute_block(editor, pos + 1, 1, length)
-
-
 def stack_stable_conjugations(editor: PathEditor, pos: int, length: int, levels: int) -> None:
-    """Conjugate a kernel-generator segment by a power of the stable letter."""
+    """Conjugate a kernel-generator segment by a power of the stable letter.
+
+    Each level inserts a stable backtrack and slides its inverse across the
+    segment through `length` square swaps: (s^levels, segment, s^-levels).
+    """
     for i in range(levels):
-        conjugate_by_stable(editor, pos + i, length)
+        editor.insert_backtrack(pos + i, S_ID)
+        commute_block(editor, pos + i + 1, 1, length)
 
 
 def contract_product_loop(editor: PathEditor, pos: int, length: int) -> None:

@@ -38,7 +38,7 @@ from .complexes import (
     get_complex,
     sphere_complement_components,
 )
-from .diagrams import ConjugateFactor, build_diagram, extract_bands, random_expression
+from .diagrams import ConjugateFactor, band_invariants, build_diagram, random_expression
 from .elements import (
     S_IDENTITY,
     SElement,
@@ -188,17 +188,16 @@ def _innermost_stable_pair(editor: PathEditor) -> tuple[int, int] | None:
     """
     labels = editor.labels
     prev = None
-    candidates = []
-    for i, gen in enumerate(labels):
+    seen_candidate = False
+    for j, gen in enumerate(labels):
         if abs(gen) == S_ID:
             if prev is not None and labels[prev] == -gen:
-                candidates.append((prev, i))
-            prev = i
-    for i, j in candidates:
-        # the tail is the image in S/K, so the interior lies in K iff the tails agree
-        if editor.vertex(i + 1).tail == editor.vertex(j).tail:
-            return i, j
-    if candidates:
+                # the tail is the image in S/K, so the interior lies in K iff the tails agree
+                if editor.vertex(prev + 1).tail == editor.vertex(j).tail:
+                    return prev, j
+                seen_candidate = True
+            prev = j
+    if seen_candidate:
         raise CertificateError("no adjacent stable pair pinches over the kernel")
     return None
 
@@ -303,7 +302,7 @@ def run_reduce_demo(
     """
     t0 = time.monotonic()
     diagram = build_diagram(factors)
-    decomposition = extract_bands(diagram)
+    invariants = band_invariants(diagram)
     boundary = diagram.boundary_word()
     if start is None:
         start = far_basepoint(len(boundary) // 2 + region.radius + 2)
@@ -339,7 +338,7 @@ def run_reduce_demo(
     cert = editor.certificate("eliminate bands, then contract the residue")
     if cert.result:
         raise CertificateError("band elimination left a path")
-    if len(detour_lengths) != len(decomposition.bands):
+    if len(detour_lengths) != invariants["bands"]:
         raise CertificateError("band eliminations do not match the diagram's bands")
     res = verify_certificate(cert, region)
     summary = {
@@ -354,9 +353,9 @@ def run_reduce_demo(
         "base": s_to_json(start),
         "boundary": "".join(gen_to_token(g) for g in boundary),
         "boundary_length": len(boundary),
-        "bands": len(decomposition.bands),
-        "self_paired_bands": sum(1 for b in decomposition.bands if not b.faces),
-        "band_depths": decomposition.depths,
+        "bands": invariants["bands"],
+        "self_paired_bands": invariants["self_paired"],
+        "band_depths": invariants["depths"],
         "detour_lengths": detour_lengths,
         "basepoint_distance": distance_to_identity(start),
         "region_radius": region.radius,

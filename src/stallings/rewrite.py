@@ -197,7 +197,7 @@ def rewrite_to_kernel_path(
     verifier still walks it.
     """
     check_base_group(start)
-    if any(abs(g) not in (1, 2, 3, 4) for g in labels):
+    if any(abs(g) not in GAMMA_1.gens for g in labels):
         raise ValueError("rewriting applies to letter paths only")
     if sum(1 if g > 0 else -1 for g in labels) != 0:
         raise ValueError("path has nonzero exponent sum")

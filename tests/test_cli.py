@@ -332,6 +332,10 @@ def test_source_has_no_asserts():
     [
         pytest.param(("diagram", "bands", "--expr", "[1]"), "malformed factor",
                      id="diagram-malformed-factor"),
+        pytest.param(("reduce-demo", "--expr", '{"a": 1}'),
+                     "--expr must be a JSON list of factors", id="reduce-demo-expr-not-a-list"),
+        pytest.param(("diagram", "build", "--expr", "5"),
+                     "--expr must be a JSON list of factors", id="diagram-expr-not-a-list"),
         pytest.param(("reduce-demo", "--expr", "[1]"), "malformed factor",
                      id="reduce-demo-malformed-factor"),
         pytest.param(("reduce-demo", "--expr", '[["", 28, true]]'), "malformed factor",
@@ -449,6 +453,10 @@ def test_source_has_no_asserts():
         # reduced after conversion to the stored F(a,b) projection, but not canonical
         pytest.param(("verify-cert", {"start": {"k": {"ab": "baA", "cd": "C"}, "tail": "a"}}),
                      "bad ab part: 'baA'", id="cert-start-not-canonical"),
+        pytest.param(("verify-cert", {"start": {"k": {"ab": "", "cd": "cC"}, "tail": ""}}),
+                     "bad cd part: 'cC'", id="cert-start-not-reduced"),
+        pytest.param(("verify-cert", {"start": {"k": {"ab": 1, "cd": ""}, "tail": ""}}),
+                     "malformed normal form", id="cert-start-part-not-a-string"),
         pytest.param(("verify-cert", {"moves": [["ins", 0]]}), "malformed move",
                      id="cert-truncated-move"),
         pytest.param(("verify-cert", {"moves": [["cell", False, 0, False, False, 2]]}),

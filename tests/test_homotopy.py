@@ -23,7 +23,6 @@ from stallings.homotopy import (
     certificate_from_json,
     certificate_to_json,
     commute_block,
-    conjugate_by_stable,
     contract_kernel_generator_loop,
     contract_product_loop,
     convert_letter_pairs,
@@ -134,15 +133,15 @@ def test_verify_rejects_malformed_certificates():
     )
     assert not verify_certificate(foreign_cell).ok
 
-    # a field that hashes like an int (0.0, False) or cannot be hashed is no
-    # canonical encoding either
+    # a cell field that hashes like an int (0.0, False) or cannot be hashed
+    # makes a malformed move, before its encoding is looked up
     _, pos, rid, inv, rot, split = good.moves[0]
     for move in (("cell", pos, float(rid), inv, rot, split),
                  ("cell", pos, rid, bool(inv), rot, split),
                  ("cell", pos, rid, [inv], rot, split),
                  ("cell", pos, rid, inv, float(rot), split)):
         res = verify_certificate(dataclasses.replace(good, moves=(move,)))
-        assert not res.ok and "no form" in res.reason
+        assert not res.ok and res.reason == f"move 0: malformed move {move!r}"
 
     # a move of the wrong arity, or with a field that compares like an int but
     # is none, fails its check; with int fields each certificate would verify
@@ -160,6 +159,19 @@ def test_verify_rejects_malformed_certificates():
         res = verify_certificate(bad)
         assert (res.ok, res.moves_checked) == (False, 0)
         assert res.reason == f"move 0: malformed move {move!r}"
+        assert not replay_certificate(bad)[0]
+
+    # an inserted generator outside the complex, or a split outside the
+    # relator, is rejected; unchecked, the first would sweep a vertex with
+    # tail s and the second would insert a whole relator
+    for path, moves, result, reason in (
+        ((1, 3), (("ins", 0, 5), ("del", 0)), (1, 3), "generator 5 is not in gamma_1"),
+        ((1, 3, -1, -3), (("cell", 4, 0, 0, 0, -4),), (1, 3, -1, -3, 3, 1, -3, -1),
+         "split -4 out of range for 2-cell 0"),
+    ):
+        bad = Certificate("gamma_1", S_IDENTITY, path, moves, result)
+        res = verify_certificate(bad)
+        assert (res.ok, res.reason, res.moves_checked) == (False, f"move 0: {reason}", 0)
         assert not replay_certificate(bad)[0]
 
     # so does a start that is not a vertex made of three strings
@@ -273,7 +285,7 @@ def test_expand_then_convert_is_identity():
 
 def test_conjugate_by_stable():
     ed = PathEditor(X, S_IDENTITY, (egen_id(1), egen_id(2)))
-    conjugate_by_stable(ed, 0, 2)
+    stack_stable_conjugations(ed, 0, 2, 1)
     assert ed.labels == (5, egen_id(1), egen_id(2), -5)
     cert = ed.certificate()
     assert len(cert.moves) == 3

@@ -183,6 +183,22 @@ def test_reduce_demo_mirror_pair_collapses():
     assert report.summary["detour_lengths"] == []
 
 
+def test_reduce_demo_cancels_adjacent_stable_pair():
+    # once the inner band of ssacACSS is gone, the outer pair is adjacent and
+    # cancels as a backtrack, with no detour search
+    factors = [ConjugateFactor((5, 5), 0, 1)]
+    report = run_reduce_demo(factors)
+    assert report.verified
+    assert report.summary["detour_lengths"] == [0, 0]
+    assert replay_certificate(report.certificate)[0]
+    # next to the region the pair still cancels, though its endpoints lie in
+    # the dilated region, and the verifier reports the crossing
+    near = run_reduce_demo(factors, start=s_from_word("a"))
+    assert not near.verified
+    assert near.summary["detour_lengths"] == [0, 0]
+    assert near.summary["failure_reason"] == "initial path enters forbidden region"
+
+
 def test_reduce_demo_respects_given_region():
     region = ForbiddenRegion(X, (S_IDENTITY,), 2)
     report = run_reduce_demo(
