@@ -15,8 +15,10 @@ them.
 
 Generators are signed integer ids as in `words`: letters 1..4, the stable
 letter 5, kernel generators 6..29.  `step` right-multiplies a normal form by
-a signed generator's value from the fixed table `GEN_VALUES`; it is the
-primitive that graph searches are built on.
+a signed generator's value from the fixed table `GEN_VALUES`, reading a
+bounded memo of `s_multiply` results that is cleared at its cap; nothing is
+stored for an unknown generator.  Walks, the rewriter and the verifier step;
+searches call `s_multiply` directly and never fill the memo.
 
 `s_multiply`, the one transition kernel under `step`, the BFS and the
 verifier, is three independent seam reductions, one per projection.
@@ -155,14 +157,26 @@ def _build_gen_values() -> dict[int, SElement]:
 # GEN_VALUES[gen] is the normal form of the signed generator gen (58 entries).
 GEN_VALUES: dict[int, SElement] = _build_gen_values()
 
+_STEP_MEMO_CAP = 2048
+_step_memo: dict[tuple[SElement, int], SElement] = {}
+
 
 def step(x: SElement, gen: int) -> SElement:
-    """Right-multiply a normal form by one signed generator."""
-    try:
-        value = GEN_VALUES[gen]
-    except KeyError:
-        raise ValueError(f"unknown generator id: {gen}") from None
-    return s_multiply(x, value)
+    """Right-multiply a normal form by one signed generator.
+
+    Reads a bounded memo of `s_multiply` results, cleared at its cap, and
+    stores nothing for an unknown generator.  Searches call `s_multiply`.
+    """
+    y = _step_memo.get((x, gen))
+    if y is None:
+        try:
+            value = GEN_VALUES[gen]
+        except KeyError:
+            raise ValueError(f"unknown generator id: {gen}") from None
+        if len(_step_memo) >= _STEP_MEMO_CAP:
+            _step_memo.clear()
+        y = _step_memo[x, gen] = s_multiply(x, value)
+    return y
 
 
 # ---------------------------------------------------------------------------

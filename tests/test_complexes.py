@@ -274,6 +274,26 @@ def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
     assert len(calls) == sum(sizes[:3]) * len(spec.steps)
 
 
+def test_searches_do_not_call_step(monkeypatch):
+    # searches multiply by ComplexSpec.steps values, so they never fill the
+    # bounded memo in elements.step
+    import stallings.complexes as complexes
+    from stallings import elements
+
+    def no_step(x, gen):
+        raise AssertionError("a search called step")
+
+    spec = get_complex("gamma_k")
+    goal = scan((6, 7, -6))
+    monkeypatch.setattr(complexes, "step", no_step)
+    size = len(elements._step_memo)
+    assert len(neighborhood(spec, (S_IDENTITY,), 2)) > len(spec.steps)
+    assert sphere_complement_components(spec, 1, 3)["components"] == 1
+    path = find_generator_path(spec, S_IDENTITY, goal)
+    assert len(elements._step_memo) == size
+    assert path is not None and scan(path) == goal
+
+
 def _overruns(search, *args, budget):
     try:
         search(*args, budget=budget)

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from oracles import generator_value, reference_multiply
+from oracles import Published, generator_value, reference_multiply, reference_step
+from stallings import elements
 from stallings.elements import (
     GEN_VALUES,
     SElement,
@@ -148,6 +149,46 @@ def test_step_against_group_arithmetic():
     for bad in (0, 30, -30):
         with pytest.raises(ValueError):
             step(S_IDENTITY, bad)
+
+
+def test_step_memo_agrees_with_oracle_across_a_clear(monkeypatch):
+    """Distinct inputs drive `step` past its memo's cap; every result, stored,
+    read back or recomputed after the clear, is the oracle's product."""
+    cap = elements._STEP_MEMO_CAP
+    rng = random.Random(53)
+    signed = sorted(GEN_VALUES)
+    inputs = {}
+    while len(inputs) < cap + cap // 2:
+        x = scan(rng.choice(signed) for _ in range(rng.randrange(9)))
+        inputs[x, rng.choice(signed)] = None
+    memo = {}
+    monkeypatch.setattr(elements, "_step_memo", memo)
+    sizes = []
+    for x, gen in inputs:
+        y = step(x, gen)
+        sizes.append(len(memo))
+        assert s_parts(y) == reference_step(Published(*s_parts(x)), gen)
+        assert step(x, gen) is y
+    assert max(sizes) == cap
+    assert sizes[cap - 1] == cap and sizes[cap] == 1  # cleared at the cap
+    for x, gen in list(inputs)[:200]:  # stored before the clear, gone since
+        assert s_parts(step(x, gen)) == reference_step(Published(*s_parts(x)), gen)
+    assert len(memo) <= cap
+
+
+def test_unknown_generator_is_not_stored(monkeypatch):
+    x = s_from_word("abs")
+    memo = {}
+    monkeypatch.setattr(elements, "_step_memo", memo)
+    for _ in range(2):  # the second time, x has entries for valid generators
+        size = len(memo)
+        for bad in (0, 30):
+            with pytest.raises(ValueError, match=f"^unknown generator id: {bad}$"):
+                step(x, bad)
+            assert len(memo) == size
+        for gen in (1, -5, 6):
+            step(x, gen)
+    assert set(memo) == {(x, 1), (x, -5), (x, 6)}
 
 
 def _random_part(rng, letters, max_len=8):
