@@ -252,13 +252,18 @@ def find_generator_path(
 
 class ForbiddenRegion(dict):
     """A closed metric neighborhood of a finite vertex set, as a dict from each
-    vertex to its distance from the nearest center; nothing writes to it later."""
+    vertex to its distance from the nearest center; its items never change.
+    `dilated`, the region one step wider, is built on first read and kept."""
 
     def __init__(self, spec: ComplexSpec, centers: Iterable[SElement], radius: int) -> None:
         self.spec = spec
         self.centers = tuple(dict.fromkeys(centers))
         self.radius = radius
         super().__init__(neighborhood(spec, self.centers, radius))
+
+    @cached_property
+    def dilated(self) -> ForbiddenRegion:
+        return ForbiddenRegion(self.spec, self.centers, self.radius + 1)
 
 
 # ---------------------------------------------------------------------------

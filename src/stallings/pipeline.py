@@ -138,12 +138,26 @@ def base_exclusion_radius(region: ForbiddenRegion) -> int:
 
 
 def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) -> int:
-    """Farthest any swept vertex strays from the input loop's vertex set."""
+    """Farthest any swept vertex strays from the input loop's vertex set.
+
+    The exact max over swept vertices of the min over loop vertices, pruned:
+    a vertex's scan stops at the first loop vertex no farther than the
+    running max, since that vertex cannot raise it.  Off the base group
+    `distance_to_identity` is a word-length bound, so the value is a bound
+    there.
+    """
     anchors = list(dict.fromkeys(loop_verts))
-    return max(
-        min(distance_to_identity(s_multiply(w_inv, v)) for v in anchors)
-        for w_inv in map(s_invert, swept)
-    )
+    radius = 0
+    for w_inv in map(s_invert, swept):
+        nearest = []
+        for v in anchors:
+            d = distance_to_identity(s_multiply(w_inv, v))
+            if d <= radius:
+                break
+            nearest.append(d)
+        else:
+            radius = min(nearest)
+    return radius
 
 
 def compose_certificates(stages: Sequence[tuple[str, Certificate]]) -> Certificate:
@@ -307,7 +321,7 @@ def run_reduce_demo(
     if start is None:
         start = far_basepoint(len(boundary) // 2 + region.radius + 2)
     check_base_group(start)
-    dilated = ForbiddenRegion(region.spec, region.centers, region.radius + 1)
+    dilated = region.dilated
 
     editor = PathEditor(X_COMPLEX, start, boundary)
     detour_lengths: list[int] = []

@@ -174,6 +174,24 @@ def test_forbidden_region():
     assert s_from_word("ss") not in region
 
 
+def test_dilated_region_is_built_once():
+    spec = get_complex("x")
+    region = ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a"), S_IDENTITY], 1)
+    items, size = dict(region), len(region)
+    dilated = region.dilated
+    assert region.dilated is dilated
+    fresh = ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a")], 2)
+    assert dilated == fresh
+    assert dilated.spec is spec
+    assert dilated.centers == region.centers == fresh.centers
+    assert dilated.radius == region.radius + 1 == 2
+    # reading it leaves the region's own items as they were
+    assert len(region) == size
+    assert dict(region) == items
+    assert region == ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a")], 1)
+    assert region != dilated
+
+
 def _path_or_overrun(search, *args):
     try:
         return search(*args)

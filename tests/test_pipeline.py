@@ -9,8 +9,9 @@ from stallings.complexes import (
     ForbiddenRegion,
     find_generator_path,
     get_complex,
+    neighborhood,
 )
-from stallings.diagrams import ConjugateFactor
+from stallings.diagrams import ConjugateFactor, random_expression
 from stallings.elements import (
     S_IDENTITY,
     distance_to_identity,
@@ -19,9 +20,11 @@ from stallings.elements import (
     s_invert,
     s_multiply,
     scan,
+    walk,
 )
 from stallings.homotopy import Certificate, CertificateError, verify_certificate
 from stallings.pipeline import (
+    DEFAULT_REGION,
     PipelineReport,
     base_exclusion_radius,
     combing_radius,
@@ -208,6 +211,58 @@ def test_reduce_demo_respects_given_region():
     ok, _, swept = replay_certificate(report.certificate)
     assert ok
     assert not any(v in region for v in swept)
+
+
+def test_reduce_demo_builds_the_dilated_region_once(monkeypatch):
+    import stallings.complexes as complexes
+
+    region = ForbiddenRegion(X, (S_IDENTITY,), 1)
+    radii = []
+
+    def counting(spec, centers, radius, *args):
+        radii.append(radius)
+        return neighborhood(spec, centers, radius, *args)
+
+    monkeypatch.setattr(complexes, "neighborhood", counting)
+    factors = [ConjugateFactor((), SQUARE_REL_IDS[0], 1)]
+    first = run_reduce_demo(factors, region=region)
+    second = run_reduce_demo(factors, region=region)
+    assert first.verified and second.verified
+    assert region.dilated.radius == 2
+    assert radii == [2]
+
+
+def _combing_radius_brute(swept, anchors):
+    return max(
+        min(distance_to_identity(s_multiply(s_invert(w), v)) for v in anchors)
+        for w in swept
+    )
+
+
+def test_combing_radius_is_the_exact_max_min():
+    rng = random.Random(41)
+    reports = [run_main_pipeline(*random_far_loop(rng, 4)) for _ in range(12)]
+    reports += [run_reduce_demo(random_expression(rng)) for _ in range(6)]
+    for report in reports:
+        cert = report.certificate
+        res = verify_certificate(cert, DEFAULT_REGION)
+        assert res.ok
+        verts = walk(cert.start, cert.path)
+        value = combing_radius(res.swept, verts)
+        assert value == _combing_radius_brute(res.swept, verts)
+        assert value == report.summary["combing_radius"]
+
+    # the max is reached only at the last swept vertex, and each vertex's
+    # first anchor is the far one
+    far = far_basepoint(6)
+    swept = [S_IDENTITY, scan((3,)), scan((3, 3)), scan((3, 3, 3))]
+    anchors = [far, S_IDENTITY]
+    assert combing_radius(swept, anchors) == _combing_radius_brute(swept, anchors) == 3
+    # the first swept vertex sets the max, and the first anchor prunes every
+    # later vertex
+    swept = [scan((3, 3, 3)), S_IDENTITY, scan((1,)), scan((1, 3)), scan((2, 2, 4))]
+    anchors = [S_IDENTITY, far]
+    assert combing_radius(swept, anchors) == _combing_radius_brute(swept, anchors) == 3
 
 
 def test_random_far_loop_properties():
