@@ -71,6 +71,10 @@ def _is_free_ab(v: SElement) -> bool:
     return v.cd == "" and in_base_group(v)
 
 
+def _any_vertex(v: SElement) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class ComplexSpec:
     """A named complex: generators, relator slice, vertex membership test."""
@@ -132,7 +136,7 @@ COMPLEXES: dict[str, ComplexSpec] = {
             "x",
             LETTER_GENS + (S_ID,) + EGEN_IDS,
             tuple(range(len(REL_WORDS))),
-            lambda v: True,
+            _any_vertex,
         ),
         ComplexSpec(
             "free_ab",
@@ -252,7 +256,9 @@ def find_generator_path(
 
 class ForbiddenRegion(dict):
     """A closed metric neighborhood of a finite vertex set, as a dict from each
-    vertex to its distance from the nearest center; its items never change.
+    vertex to its distance from the nearest center; its items never change, and
+    every mutating method raises TypeError.  A copy or unpickled region is built
+    again from (spec, centers, radius).
     `dilated`, the region one step wider, is built on first read and kept."""
 
     def __init__(self, spec: ComplexSpec, centers: Iterable[SElement], radius: int) -> None:
@@ -260,6 +266,14 @@ class ForbiddenRegion(dict):
         self.centers = tuple(dict.fromkeys(centers))
         self.radius = radius
         super().__init__(neighborhood(spec, self.centers, radius))
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a ForbiddenRegion cannot be changed")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _refuse
+
+    def __reduce__(self):
+        return ForbiddenRegion, (self.spec, self.centers, self.radius)
 
     @cached_property
     def dilated(self) -> ForbiddenRegion:

@@ -74,6 +74,13 @@ CELL_FORMS: dict[tuple[int, int, int], Labels] = {
     for rot in range(len(form))
 }
 
+# CELL_SPLITS[cell][split] = (form[:split], inverse_path(form[split:])): the side a
+# cell move reads and the path it writes; the verifier reads them from this table
+CELL_SPLITS: dict[tuple[int, int, int], tuple[tuple[Labels, Labels], ...]] = {
+    cell: tuple((form[:i], inverse_path(form[i:])) for i in range(len(form) + 1))
+    for cell, form in CELL_FORMS.items()
+}
+
 # RELATOR_FORMS[word] holds the encodings (rid, inv, rot) that read word
 RELATOR_FORMS: dict[Labels, tuple[tuple[int, int, int], ...]] = {}
 for _cell, _word in CELL_FORMS.items():
@@ -157,18 +164,16 @@ def _apply_move(
             raise CertificateError(f"malformed move {move!r}")
         if rid not in spec.relator_ids:
             raise CertificateError(f"2-cell {rid} is not in {spec.name}")
-        relator = CELL_FORMS.get((rid, inv, rot))
-        if relator is None:
+        sides = CELL_SPLITS.get((rid, inv, rot))
+        if sides is None:
             raise CertificateError(f"2-cell {rid} has no form inv={inv}, rot={rot}")
-        if not 0 <= split <= len(relator):
+        if not 0 <= split < len(sides):
             raise CertificateError(f"split {split} out of range for 2-cell {rid}")
         if not 0 <= pos <= len(labels) - split:
             raise CertificateError(f"cell position {pos} out of range")
-        if tuple(labels[pos : pos + split]) != relator[:split]:
-            raise CertificateError(
-                f"path at {pos} does not match 2-cell {rid} side {relator[:split]}"
-            )
-        replacement = inverse_path(relator[split:])
+        side, replacement = sides[split]
+        if tuple(labels[pos : pos + split]) != side:
+            raise CertificateError(f"path at {pos} does not match 2-cell {rid} side {side}")
         walked = walk(verts[pos], replacement)
         # both sides of the cell must read the same group element
         if walked[-1] != verts[pos + split]:
@@ -297,6 +302,8 @@ class PathEditor:
 
     Move positions refer to the current label list, so constructing and
     recording are the same act; `certificate()` freezes the history.
+    Indexing reads the live labels without copying them (a slice is a fresh
+    list); `labels` is a tuple snapshot.
     """
 
     def __init__(
@@ -327,6 +334,9 @@ class PathEditor:
     @property
     def labels(self) -> Labels:
         return tuple(self._labels)
+
+    def __getitem__(self, i):
+        return self._labels[i]
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -371,7 +381,7 @@ class PathEditor:
 
 def swap_adjacent(editor: PathEditor, pos: int) -> None:
     """Exchange two adjacent commuting labels through a commuting cell."""
-    x, y = editor.labels[pos : pos + 2]
+    x, y = editor[pos : pos + 2]
     editor.replace(pos, 2, (y, x))
 
 
@@ -408,7 +418,7 @@ def convert_letter_pairs(editor: PathEditor, pos: int, pair_count: int) -> int:
     produced = 0
     cursor = pos
     for _ in range(pair_count):
-        x, y = editor.labels[cursor : cursor + 2]
+        x, y = editor[cursor : cursor + 2]
         if y == -x:
             editor.delete_backtrack(cursor)
             continue
@@ -430,7 +440,7 @@ def expand_kernel_generators(editor: PathEditor, pos: int, count: int) -> int:
     """
     cursor = pos
     for _ in range(count):
-        letters = EGEN_LETTERS.get(editor.labels[cursor])
+        letters = EGEN_LETTERS.get(editor[cursor])
         if letters is None:
             cursor += 1
             continue
@@ -465,7 +475,7 @@ def contract_product_loop(editor: PathEditor, pos: int, length: int) -> None:
     n = length
     used = 0
     while n:
-        seg = editor.labels[pos : pos + n]
+        seg = editor[pos : pos + n]
         for i in range(n - 1):
             if seg[i + 1] == -seg[i]:
                 editor.delete_backtrack(pos + i)

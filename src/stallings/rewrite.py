@@ -37,7 +37,6 @@ from .elements import (
     S_IDENTITY,
     SElement,
     check_base_group,
-    distance_to_identity,
     s_from_word,
     step,
 )
@@ -126,7 +125,7 @@ class _Rewriter:
         ed = self.ed
         trace: list[int] = []
         while pos < len(ed):
-            rem = ed.labels[pos:]
+            rem = tuple(ed[pos:])
             if is_kernel_form(rem):
                 break
             syllables = split_syllables(rem)
@@ -159,7 +158,7 @@ class _Rewriter:
             # case 4: the second syllable has the partner's factor and sign;
             # cancel the seam between the inverted partner and the syllable
             q = 0
-            while q < min(k1, k2) and ed.labels[pos + k1 - q] == -ed.labels[pos + k1 - q - 1]:
+            while q < min(k1, k2) and ed[pos + k1 - q] == -ed[pos + k1 - q - 1]:
                 ed.delete_backtrack(pos + k1 - q - 1)
                 q += 1
             k_left, k_right = k1 - q, k2 - q
@@ -195,6 +194,9 @@ def rewrite_to_kernel_path(
     `verts`, when given, are the path's vertices, `walk(start, labels)`,
     handed on to the editor so that it does not walk the path again; the
     verifier still walks it.
+    Both minima are exact base-group distances |p_ab| + |cd|: the start passes
+    `check_base_group`, and letter moves keep every original and swept vertex
+    in the base group, where `distance_to_identity` reads the same.
     """
     check_base_group(start)
     if any(abs(g) not in GAMMA_1.gens for g in labels):
@@ -202,7 +204,8 @@ def rewrite_to_kernel_path(
     if sum(1 if g > 0 else -1 for g in labels) != 0:
         raise ValueError("path has nonzero exponent sum")
     editor = PathEditor(GAMMA_1, start, labels, verts=verts)
-    min_original = min(map(distance_to_identity, map(editor.vertex, range(len(labels) + 1))))
+    # check_base_group(start) and letter labels keep the path in the base group
+    min_original = min(len(v.p_ab) + len(v.cd) for v in editor._verts)
     rewriter = _Rewriter(editor)
     trace = rewriter.run(0)
     cert = editor.certificate()
@@ -221,7 +224,8 @@ def rewrite_to_kernel_path(
         res = verify_certificate(cert, forbidden)
         # a rejected certificate sweeps nothing; a verified rewriting never
         # moves toward the identity
-        report.min_swept_distance = min(map(distance_to_identity, res.swept), default=None)
+        swept = (len(v.p_ab) + len(v.cd) for v in res.swept)
+        report.min_swept_distance = min(swept, default=None)
         report.verified = res.ok and report.min_swept_distance >= min_original
     return report
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -36,6 +38,7 @@ from stallings.elements import (
     scan,
     step,
 )
+from stallings.pipeline import DEFAULT_REGION
 from stallings.words import reduce_mul
 
 
@@ -190,6 +193,48 @@ def test_dilated_region_is_built_once():
     assert dict(region) == items
     assert region == ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a")], 1)
     assert region != dilated
+
+
+def test_forbidden_region_refuses_mutation():
+    spec = get_complex("x")
+    for region in (ForbiddenRegion(spec, [S_IDENTITY], 1), DEFAULT_REGION):
+        items = dict(region)
+        vertex = next(iter(region))
+        for method, args in (
+            ("__setitem__", (s_from_word("ss"), 2)),
+            ("__delitem__", (vertex,)),
+            ("clear", ()),
+            ("pop", (vertex,)),
+            ("popitem", ()),
+            ("setdefault", (s_from_word("ss"), 2)),
+            ("update", ({s_from_word("ss"): 2},)),
+            ("__ior__", ({s_from_word("ss"): 2},)),
+        ):
+            with pytest.raises(TypeError, match="cannot be changed"):
+                getattr(region, method)(*args)
+        with pytest.raises(TypeError, match="cannot be changed"):
+            region |= {}
+        with pytest.raises(TypeError, match="cannot be changed"):
+            region[vertex] = 5
+        assert dict(region) == items
+        assert region.dilated == ForbiddenRegion(spec, region.centers, region.radius + 1)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_forbidden_region_copies_are_built_again(duplicate):
+    spec = get_complex("x")
+    for region in (ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a")], 1), DEFAULT_REGION):
+        copied = duplicate(region)
+        assert type(copied) is ForbiddenRegion and copied is not region
+        assert copied == region
+        assert (copied.spec, copied.centers, copied.radius) == (
+            region.spec, region.centers, region.radius)
+        with pytest.raises(TypeError, match="cannot be changed"):
+            copied.clear()
 
 
 def _path_or_overrun(search, *args):

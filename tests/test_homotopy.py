@@ -16,6 +16,7 @@ from stallings.elements import (
 )
 from stallings.homotopy import (
     CELL_FORMS,
+    CELL_SPLITS,
     Certificate,
     CertificateError,
     PathEditor,
@@ -62,6 +63,16 @@ def test_cell_forms_hold_each_canonical_encoding():
     assert list(CELL_FORMS) == encodings and len(encodings) == 4 * 8 + 24 * 6 + 24 * 8
     assert all(CELL_FORMS[cell] == cell_form(*cell) for cell in encodings)
     assert {cell: word for word, cells in RELATOR_FORMS.items() for cell in cells} == CELL_FORMS
+
+
+def test_cell_splits_read_each_form():
+    # every split of every form, side then the inverse of the replacement
+    assert list(CELL_SPLITS) == list(CELL_FORMS)
+    for cell, form in CELL_FORMS.items():
+        assert len(CELL_SPLITS[cell]) == len(form) + 1
+        for split, (side, replacement) in enumerate(CELL_SPLITS[cell]):
+            assert len(side) == split
+            assert side + inverse_path(replacement) == form
 
 
 def test_insert_delete_roundtrip():
@@ -168,6 +179,8 @@ def test_verify_rejects_malformed_certificates():
         ((1, 3), (("ins", 0, 5), ("del", 0)), (1, 3), "generator 5 is not in gamma_1"),
         ((1, 3, -1, -3), (("cell", 4, 0, 0, 0, -4),), (1, 3, -1, -3, 3, 1, -3, -1),
          "split -4 out of range for 2-cell 0"),
+        ((1, 3, -1, -3, 1, -1), (("cell", 0, 0, 0, 0, len(CELL_FORMS[0, 0, 0]) + 1),),
+         (1, 3, -1, -3, 1, -1), "split 5 out of range for 2-cell 0"),
     ):
         bad = Certificate("gamma_1", S_IDENTITY, path, moves, result)
         res = verify_certificate(bad)
@@ -202,8 +215,11 @@ def test_cell_that_does_not_close_is_rejected(monkeypatch):
     ed = PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac"))
     swap_adjacent(ed, 0)
     cert = ed.certificate()
-    cell = cert.moves[0][2:5]
-    monkeypatch.setitem(homotopy.CELL_FORMS, cell, homotopy.CELL_FORMS[cell][:3] + (2,))
+    cell, split = cert.moves[0][2:5], cert.moves[0][5]
+    sides = list(CELL_SPLITS[cell])
+    side, replacement = sides[split]
+    sides[split] = (side, replacement[:-1] + (2,))
+    monkeypatch.setitem(homotopy.CELL_SPLITS, cell, tuple(sides))
     res = verify_certificate(cert)
     assert not res.ok
     assert "does not close" in res.reason

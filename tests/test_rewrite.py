@@ -5,7 +5,14 @@ import pytest
 
 from oracles import replay_certificate
 from stallings.complexes import ForbiddenRegion, get_complex
-from stallings.elements import S_IDENTITY, distance_to_identity, s_from_word, scan, walk
+from stallings.elements import (
+    S_IDENTITY,
+    distance_to_identity,
+    in_base_group,
+    s_from_word,
+    scan,
+    walk,
+)
 from stallings.homotopy import verify_certificate
 from stallings.rewrite import (
     is_kernel_form,
@@ -213,6 +220,22 @@ def test_handed_vertices_give_the_same_report():
         # certificate, cases, both distances, verified and the rest
         assert handed == walked
         assert handed.verified
+
+
+@pytest.mark.parametrize("m", [None, 2])
+def test_projection_minima_equal_distance_to_identity(m):
+    """Both minima read |p_ab| + |cd|; on the base group that is the distance."""
+    rng = random.Random(2021)
+    region = frozenset() if m is None else ForbiddenRegion(GAMMA_1, (S_IDENTITY,), m)
+    for base in rng.sample(transversal_bases(), 5):
+        walks = [w for w in zero_sum_walks(base, 4, region) if not w[2]]
+        for word, verts, _ in rng.sample(walks, 40):
+            report = rewrite_to_kernel_path(base, word, forbidden=region, verts=verts)
+            assert report.verified
+            assert report.min_original_distance == min(map(distance_to_identity, walk(base, word)))
+            swept = verify_certificate(report.certificate, region).swept
+            assert all(map(in_base_group, swept))
+            assert report.min_swept_distance == min(map(distance_to_identity, swept))
 
 
 def test_handed_vertices_are_checked():
