@@ -29,6 +29,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -111,12 +112,49 @@ def emit(report) -> str:
     """Serialize a report deterministically.
 
     A string is a DOT drawing from a graph exporter and passes through with
-    a final newline; a dict or a pipeline report becomes sorted JSON.
+    a final newline.  A dict or a pipeline report becomes the text of
+    `json.dumps(data, sort_keys=True, indent=2)` plus a newline, ASCII-escaped,
+    for any dict, list or tuple subclass too (a `Counter`, an `SElement`).
+    It is written here because `json` runs its pure-Python encoder for `indent`.
     """
     if isinstance(report, str):
         return report if report.endswith("\n") else report + "\n"
     data = report.to_json() if isinstance(report, PipelineReport) else report
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return _encode(data, "\n") + "\n"
+
+
+# json's text for each scalar type; a float goes through json for NaN and Infinity
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(o, newline: str) -> str:
+    """`o` as `emit` writes it, `newline` being the line break and indent of its level."""
+    encode = _SCALAR_TEXT.get(type(o))
+    if encode is not None:
+        return encode(o)
+    inner = newline + "  "
+    if isinstance(o, dict):
+        ends, parts = "{}", [f"{_key_text(k)}: {_encode(v, inner)}" for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)):
+        ends, parts = "[]", [_encode(v, inner) for v in o]
+    else:
+        kind = next((k for k in (str, int, float) if isinstance(o, k)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        return _SCALAR_TEXT[kind](o)
+    return ends[0] + inner + ("," + inner).join(parts) + newline + ends[1] if parts else ends
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, (str, int, float, type(None))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else _encode(key, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +180,15 @@ def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) ->
 
     The exact max over swept vertices of the min over loop vertices, pruned:
     a vertex's scan stops at the first loop vertex no farther than the
-    running max, since that vertex cannot raise it.  Off the base group
-    `distance_to_identity` is a word-length bound, so the value is a bound
-    there.
+    running max, since that vertex cannot raise it.  Swept vertices on the
+    loop are skipped without a product: their min is 0, which never exceeds
+    the running max (it starts at 0), so the value is the same.  Off the
+    base group `distance_to_identity` is a word-length bound, so the value
+    is a bound there.
     """
-    anchors = list(dict.fromkeys(loop_verts))
+    anchors = dict.fromkeys(loop_verts)
     radius = 0
-    for w_inv in map(s_invert, swept):
+    for w_inv in map(s_invert, (w for w in swept if w not in anchors)):
         nearest = []
         for v in anchors:
             d = distance_to_identity(s_multiply(w_inv, v))

@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -139,6 +141,57 @@ def test_main_pipeline_report_json():
     assert json.loads(text)["summary"]["stable_level"] == 0
 
 
+class _Pair(NamedTuple):
+    left: int
+    right: str
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the int text"
+
+
+def test_emit_matches_json_dumps():
+    def same(data):
+        assert emit(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+    for seed in (0, 7919):
+        rng = random.Random(seed)
+        for _ in range(6):
+            same(run_main_pipeline(*random_far_loop(rng)).to_json())
+        for _ in range(3):
+            same(run_reduce_demo(random_expression(rng)).to_json())
+        same(run_pipeline_batch(3, seed=seed))
+        same(run_reduce_batch(2, seed=seed))
+    same(run_ends_experiment(r_values=(1,), names=("gamma_k", "free_ab")))
+    # json sorts on the original keys, so keys of unlike types sit in
+    # dicts of their own
+    same({
+        "counter": Counter("abracadabra"),
+        "named": _Pair(-3, "x"),
+        "empty": [{}, [], (), {"inner": {}}, [[]]],
+        "numeric keys": {
+            3: "int", True: "bool", 2.5: "float", float("inf"): "inf", _Int(7): "sub",
+        },
+        "none key": {None: None},
+        "text": "\u00fcn\u00efcode \x00\x1f\t\n\"\\ \U0001f600",
+        _Str("str subclass"): _Str("value"),
+        "ints": [_Int(5), -7, 0, 10**30],
+        "floats": [0.1, 1e-07, float("nan"), float("inf"), -float("inf"), -0.0],
+        "literals": [True, False, None],
+    })
+    same([])
+    same({})
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        emit({"vertices": {1, 2}})
+    with pytest.raises(TypeError, match="keys must be"):
+        emit({(1, 2): "tuple key"})
+
+
 def test_compose_certificates_rejects_broken_chain():
     a = Certificate("x", S_IDENTITY, (1, -1), (), (1, -1))
     b = Certificate("x", S_IDENTITY, (2, -2), (), (2, -2))
@@ -263,6 +316,30 @@ def test_combing_radius_is_the_exact_max_min():
     swept = [scan((3, 3, 3)), S_IDENTITY, scan((1,)), scan((1, 3)), scan((2, 2, 4))]
     anchors = [S_IDENTITY, far]
     assert combing_radius(swept, anchors) == _combing_radius_brute(swept, anchors) == 3
+
+
+def test_combing_radius_skips_loop_vertices(monkeypatch):
+    import stallings.pipeline as pipeline
+
+    products = []
+
+    def counting(x, y):
+        products.append(x)
+        return s_multiply(x, y)
+
+    monkeypatch.setattr(pipeline, "s_multiply", counting)
+    loop = walk(far_basepoint(4), (3, 3, -3, -3))
+    anchors = list(dict.fromkeys(loop))
+    assert combing_radius(anchors, loop) == 0
+    assert products == []
+    off_loop = [scan((3, 3, 3)), S_IDENTITY, scan((1, 3, 2))]
+    swept = [anchors[1], off_loop[0], anchors[0], off_loop[1], anchors[2], off_loop[2]]
+    value = combing_radius(swept, loop)
+    # each product is taken from a swept vertex's inverse, and every vertex
+    # scanned makes at least the one with the first anchor
+    assert set(products) == {s_invert(w) for w in off_loop}
+    monkeypatch.undo()
+    assert value == _combing_radius_brute(swept, loop)
 
 
 def test_random_far_loop_properties():
