@@ -303,19 +303,11 @@ class PathEditor:
     Move positions refer to the current label list, so constructing and
     recording are the same act; `certificate()` freezes the history.
     Indexing reads the live labels without copying them (a slice is a fresh
-    list); `labels` is a tuple snapshot.
+    list); `labels` is a tuple snapshot.  The constructor checks each label
+    against `spec`, raising `CertificateError`, and walks the path once.
     """
 
-    def __init__(
-        self,
-        spec: ComplexSpec,
-        start: SElement,
-        labels: Iterable[int] = (),
-        *,
-        verts: Sequence[SElement] | None = None,
-    ):
-        """`verts`, when given, are the path's vertices from an earlier walk
-        of `labels` from `start`; the editor then does not walk it again."""
+    def __init__(self, spec: ComplexSpec, start: SElement, labels: Iterable[int] = ()):
         self.spec = spec
         self.start = start
         self._initial = tuple(labels)
@@ -323,12 +315,7 @@ class PathEditor:
         for gen in self._labels:
             if abs(gen) not in spec.gens:
                 raise CertificateError(f"label {gen} is not a generator of {spec.name}")
-        if verts is None:
-            self._verts = walk(start, self._labels)
-        elif len(verts) != len(self._labels) + 1 or verts[0] != start:
-            raise ValueError("handed vertices are not a walk of the labels from start")
-        else:
-            self._verts = list(verts)
+        self._verts = walk(start, self._labels)
         self._moves: list[Move] = []
 
     @property

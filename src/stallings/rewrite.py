@@ -29,7 +29,7 @@ untouched.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .complexes import ForbiddenRegion, get_complex
@@ -102,8 +102,8 @@ class RewriteReport:
     pair_count: int
     min_original_distance: int
     min_swept_distance: int | None
-    verified: bool = True
-    syllable_counts: list[int] = field(default_factory=list)
+    verified: bool
+    syllable_counts: list[int]
 
 
 class _Rewriter:
@@ -120,10 +120,11 @@ class _Rewriter:
         self.fallback |= fellback
         self.ed.insert_round_trip(pos, (gen,) * length)
 
-    def run(self, pos: int) -> list[int]:
-        """Rewrite everything from pos; returns the syllable-count trace."""
+    def run(self) -> list[int]:
+        """Rewrite the whole path; returns the syllable-count trace."""
         ed = self.ed
         trace: list[int] = []
+        pos = 0
         while pos < len(ed):
             rem = tuple(ed[pos:])
             if is_kernel_form(rem):
@@ -182,8 +183,6 @@ def rewrite_to_kernel_path(
     start: SElement,
     labels: tuple[int, ...],
     forbidden=frozenset(),
-    *,
-    verts=None,
 ) -> RewriteReport:
     """Rewrite a zero-sum letter path into kernel-generator pair form.
 
@@ -191,23 +190,18 @@ def rewrite_to_kernel_path(
     where every consecutive letter pair has opposite signs.  The
     certificate and the away-from-identity guarantee are re-verified,
     against `forbidden`; a failed check clears `verified`.
-    `verts`, when given, are the path's vertices, `walk(start, labels)`,
-    handed on to the editor so that it does not walk the path again; the
-    verifier still walks it.
+    Its editor walks the path, raising `CertificateError` on a non-letter.
     Both minima are exact base-group distances |p_ab| + |cd|: the start passes
     `check_base_group`, and letter moves keep every original and swept vertex
     in the base group, where `distance_to_identity` reads the same.
     """
     check_base_group(start)
-    if any(abs(g) not in GAMMA_1.gens for g in labels):
-        raise ValueError("rewriting applies to letter paths only")
+    editor = PathEditor(GAMMA_1, start, labels)
     if sum(1 if g > 0 else -1 for g in labels) != 0:
         raise ValueError("path has nonzero exponent sum")
-    editor = PathEditor(GAMMA_1, start, labels, verts=verts)
-    # check_base_group(start) and letter labels keep the path in the base group
     min_original = min(len(v.p_ab) + len(v.cd) for v in editor._verts)
     rewriter = _Rewriter(editor)
-    trace = rewriter.run(0)
+    trace = rewriter.run()
     cert = editor.certificate()
 
     report = RewriteReport(
@@ -235,29 +229,28 @@ def rewrite_to_kernel_path(
 # ---------------------------------------------------------------------------
 
 def zero_sum_walks(start: SElement, max_len: int, region=frozenset()):
-    """(word, verts, dipped) for each zero-sum letter word of length <= max_len.
+    """(word, dipped) for each zero-sum letter word of length <= max_len.
 
     Walks depth first from start, stepping each prefix once and only while a
-    zero-sum completion fits.  `verts` is the path's vertex tuple, equal to
-    `tuple(walk(start, word))`; `dipped` says whether the path enters
-    `region`.
+    zero-sum completion fits; only the prefix's last vertex is kept.
+    `dipped` says whether the path `walk(start, word)` enters `region`.
     """
-    stack = [((), (start,), 0, start in region)]
+    stack = [((), start, 0, start in region)]
     while stack:
-        word, verts, es, dipped = stack.pop()
+        word, v, es, dipped = stack.pop()
         if es == 0:
-            yield word, verts, dipped
+            yield word, dipped
         room = max_len - len(word) - 1
         for g in (1, -1, 2, -2, 3, -3, 4, -4):
             es_g = es + (1 if g > 0 else -1)
             if abs(es_g) <= room:
-                w = step(verts[-1], g)
-                stack.append((word + (g,), verts + (w,), es_g, dipped or w in region))
+                w = step(v, g)
+                stack.append((word + (g,), w, es_g, dipped or w in region))
 
 
 def zero_sum_words(max_len: int) -> list[tuple[int, ...]]:
     """All zero-sum letter words of length <= max_len, shortest first, in walk order."""
-    return sorted((word for word, _, _ in zero_sum_walks(S_IDENTITY, max_len)), key=len)
+    return sorted((word for word, _ in zero_sum_walks(S_IDENTITY, max_len)), key=len)
 
 
 def transversal_bases() -> tuple[SElement, ...]:
@@ -304,11 +297,11 @@ def run_rewrite_suite(
     fallback_runs = 0
     max_moves = 0
     for base in bases:
-        for word, verts, dipped in zero_sum_walks(base, max_len, region):
+        for word, dipped in zero_sum_walks(base, max_len, region):
             if dipped:
                 skipped += 1
                 continue
-            report = rewrite_to_kernel_path(base, word, forbidden=region, verts=verts)
+            report = rewrite_to_kernel_path(base, word, forbidden=region)
             runs += 1
             verified += report.verified
             fallback_runs += report.fallback_partner_used

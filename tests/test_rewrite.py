@@ -13,7 +13,7 @@ from stallings.elements import (
     scan,
     walk,
 )
-from stallings.homotopy import verify_certificate
+from stallings.homotopy import CertificateError, verify_certificate
 from stallings.rewrite import (
     is_kernel_form,
     rewrite_to_kernel_path,
@@ -200,26 +200,11 @@ def test_zero_sum_walks_flag_the_words_that_enter_the_region():
     # "ab" lies inside the region; from "aBc" and "abCdA" only some words dip
     for base in map(s_from_word, ("ab", "aBc", "abCdA")):
         walks = list(zero_sum_walks(base, 4, region))
-        assert sorted(word for word, _, _ in walks) == sorted(words)
-        for word, verts, dipped in walks:
-            assert verts == tuple(walk(base, word))
-            assert dipped == any(v in region for v in verts)
-        flags.add(frozenset(dipped for _, _, dipped in walks))
+        assert sorted(word for word, _ in walks) == sorted(words)
+        for word, dipped in walks:
+            assert dipped == any(v in region for v in walk(base, word))
+        flags.add(frozenset(dipped for _, dipped in walks))
     assert flags == {frozenset({True}), frozenset({True, False})}
-
-
-def test_handed_vertices_give_the_same_report():
-    """The suite hands the walk's vertices on; the report must not change."""
-    base = transversal_bases()[7]
-    region = ForbiddenRegion(GAMMA_1, (S_IDENTITY,), 2)
-    walks = [w for w in zero_sum_walks(base, 4, region) if not w[2]]
-    assert len(walks) > 1000
-    for word, verts, _ in walks:
-        handed = rewrite_to_kernel_path(base, word, forbidden=region, verts=verts)
-        walked = rewrite_to_kernel_path(base, word, forbidden=region)
-        # certificate, cases, both distances, verified and the rest
-        assert handed == walked
-        assert handed.verified
 
 
 @pytest.mark.parametrize("m", [None, 2])
@@ -228,9 +213,9 @@ def test_projection_minima_equal_distance_to_identity(m):
     rng = random.Random(2021)
     region = frozenset() if m is None else ForbiddenRegion(GAMMA_1, (S_IDENTITY,), m)
     for base in rng.sample(transversal_bases(), 5):
-        walks = [w for w in zero_sum_walks(base, 4, region) if not w[2]]
-        for word, verts, _ in rng.sample(walks, 40):
-            report = rewrite_to_kernel_path(base, word, forbidden=region, verts=verts)
+        words = [word for word, dipped in zero_sum_walks(base, 4, region) if not dipped]
+        for word in rng.sample(words, 40):
+            report = rewrite_to_kernel_path(base, word, forbidden=region)
             assert report.verified
             assert report.min_original_distance == min(map(distance_to_identity, walk(base, word)))
             swept = verify_certificate(report.certificate, region).swept
@@ -238,16 +223,11 @@ def test_projection_minima_equal_distance_to_identity(m):
             assert report.min_swept_distance == min(map(distance_to_identity, swept))
 
 
-def test_handed_vertices_are_checked():
-    base = s_from_word("ac")
-    word = (1, 3, -1, -3)
-    verts = tuple(walk(base, word))
-    with pytest.raises(ValueError):
-        rewrite_to_kernel_path(base, word, verts=(S_IDENTITY,) + verts[1:])
-    with pytest.raises(ValueError):
-        rewrite_to_kernel_path(base, word, verts=verts[:-1])
-    with pytest.raises(ValueError):
-        rewrite_to_kernel_path(base, word, verts=verts + verts[-1:])
+def test_rewriter_refuses_labels_that_are_not_letters():
+    """The editor's generator check is the rewriter's one letter check."""
+    for word in ((6, -6), (5, 6, -5, -6), (6,)):
+        with pytest.raises(CertificateError, match="is not a generator of gamma_1"):
+            rewrite_to_kernel_path(S_IDENTITY, word)
 
 
 def test_transversal_bases_cover_all_splits():
