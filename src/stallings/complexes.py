@@ -30,7 +30,7 @@ from .elements import (
     s_parts,
     step,
 )
-from .words import EGEN_IDS, EGEN_LETTERS, S_ID, word_is_over
+from .words import AB_GENS, CD_GENS, EGEN_IDS, EGEN_LETTERS, LETTER_GENS, S_ID, word_is_over
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -45,8 +45,8 @@ class SearchBudgetExceeded(RuntimeError):
 
 def _build_relators() -> tuple[tuple[int, ...], ...]:
     rels: list[tuple[int, ...]] = []
-    for x in (1, 2):
-        for y in (3, 4):
+    for x in AB_GENS:
+        for y in CD_GENS:
             rels.append((x, y, -x, -y))
     rels += [(-gen,) + EGEN_LETTERS[gen] for gen in EGEN_IDS]
     rels += [(S_ID, gen, -S_ID, -gen) for gen in EGEN_IDS]
@@ -97,8 +97,6 @@ class ComplexSpec:
         return steps
 
 
-LETTER_GENS = (1, 2, 3, 4)
-
 COMPLEXES: dict[str, ComplexSpec] = {
     spec.name: spec
     for spec in (
@@ -140,7 +138,7 @@ COMPLEXES: dict[str, ComplexSpec] = {
         ),
         ComplexSpec(
             "free_ab",
-            (1, 2),
+            AB_GENS,
             (),
             _is_free_ab,
         ),

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import neg
 
 from .complexes import REL_WORDS, SQUARE_REL_IDS
 from .elements import gen_to_token
 from .homotopy import RELATOR_FORMS, inverse_path
-from .words import S_ID
+from .words import S_ID, free_reduce
 
 OUTER = -1
 
@@ -71,16 +72,6 @@ def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:
                 seen.add(u)
                 stack.append(u)
     return seen
-
-
-def _reduce_labels(labels) -> tuple[int, ...]:
-    out: list[int] = []
-    for g in labels:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
 
 
 class Diagram:
@@ -309,7 +300,7 @@ def build_diagram(factors) -> Diagram:
     dia._fold_boundary()
     dia._sweep_spheres()
     dia.validate()
-    if dia.boundary_word() != _reduce_labels(expression_word(factors)):
+    if dia.boundary_word() != tuple(free_reduce(expression_word(factors), neg)):
         raise DiagramError("boundary does not spell the reduced expression")
     return dia
 
@@ -440,9 +431,7 @@ def random_expression(rng: random.Random, max_factors: int = 4) -> list[Conjugat
             factor = ConjugateFactor(
                 tuple(conj), rng.randrange(len(REL_WORDS)), rng.choice((1, -1))
             )
-            if factors and _reduce_labels(
-                factors[-1].word() + factor.word()
-            ) == ():
+            if factors and not free_reduce(factors[-1].word() + factor.word(), neg):
                 continue
             factors.append(factor)
             break

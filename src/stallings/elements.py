@@ -29,6 +29,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .words import (
+    AB_LETTERS,
+    CD_LETTERS,
     EGEN_LETTERS,
     GEN_TOKENS,
     GElement,
@@ -70,9 +72,9 @@ def a_power(m: int) -> str:
 
 def validate_s(ab: str, cd: str, tail: str) -> SElement:
     """Check the published parts (k = (ab, cd), tail) and store them as a vertex."""
-    if not (word_is_over(ab, "abAB") and is_reduced(ab)):
+    if not (word_is_over(ab, AB_LETTERS) and is_reduced(ab)):
         raise ValueError(f"bad ab part: {ab!r}")
-    if not (word_is_over(cd, "cdCD") and is_reduced(cd)):
+    if not (word_is_over(cd, CD_LETTERS) and is_reduced(cd)):
         raise ValueError(f"bad cd part: {cd!r}")
     if exponent_sum(ab) + exponent_sum(cd) != 0:
         raise ValueError(f"k part is outside the kernel: {ab!r}, {cd!r}")

@@ -48,7 +48,7 @@ from .elements import (
     validate_s,
     walk,
 )
-from .words import EGEN_LETTERS, LETTERS_EGEN, S_ID
+from .words import AB_GENS, CD_GENS, EGEN_LETTERS, GEN_TOKENS, LETTERS_EGEN, S_ID
 
 Move = tuple
 Labels = tuple[int, ...]
@@ -314,7 +314,8 @@ class PathEditor:
         self._labels = list(self._initial)
         for gen in self._labels:
             if abs(gen) not in spec.gens:
-                raise CertificateError(f"label {gen} is not a generator of {spec.name}")
+                token = GEN_TOKENS.get(gen, gen)
+                raise CertificateError(f"label {token} is not a generator of {spec.name}")
         self._verts = walk(start, self._labels)
         self._moves: list[Move] = []
 
@@ -470,7 +471,7 @@ def contract_product_loop(editor: PathEditor, pos: int, length: int) -> None:
                 break
         else:
             for i in range(n - 1):
-                if abs(seg[i]) in (3, 4) and abs(seg[i + 1]) in (1, 2):
+                if abs(seg[i]) in CD_GENS and abs(seg[i + 1]) in AB_GENS:
                     swap_adjacent(editor, pos + i)
                     break
             else:

@@ -66,7 +66,7 @@ from .homotopy import (
     verify_certificate,
 )
 from .rewrite import rewrite_to_kernel_path
-from .words import S_ID
+from .words import AB_GENS, CD_GENS, S_ID
 
 X_COMPLEX = get_complex("x")
 GAMMA_K = get_complex("gamma_k")
@@ -163,7 +163,7 @@ def _key_text(key) -> str:
 
 def far_basepoint(distance: int) -> SElement:
     """A fixed base-group vertex at the given distance from the identity."""
-    return scan(tuple((1, 2)[i % 2] for i in range(distance)))
+    return scan(tuple(AB_GENS[i % 2] for i in range(distance)))
 
 
 def base_exclusion_radius(region: ForbiddenRegion) -> int:
@@ -386,7 +386,7 @@ def run_reduce_demo(
         commute_block(editor, i, 1, len(delta))
         editor.delete_backtrack(i + len(delta))
         detour_lengths.append(len(delta))
-    if editor.labels:
+    if len(editor):
         contract_kernel_generator_loop(editor, 0, len(editor))
 
     cert = editor.certificate("eliminate bands, then contract the residue")
@@ -484,15 +484,15 @@ def random_far_loop(
         n = min_distance + extra
         split = rng.randint(0, n)
         base = scan(
-            _random_free_word(rng, (1, 2), split)
-            + _random_free_word(rng, (3, 4), n - split)
+            _random_free_word(rng, AB_GENS, split)
+            + _random_free_word(rng, CD_GENS, n - split)
         )
         if rng.random() < 0.25:
-            out = _random_free_word(rng, rng.choice(((1, 2), (3, 4))), 4)
+            out = _random_free_word(rng, rng.choice((AB_GENS, CD_GENS)), 4)
             labels = out + inverse_path(out)
         else:
-            u = _random_free_word(rng, (1, 2), rng.randint(1, 2))
-            v = _random_free_word(rng, (3, 4), rng.randint(1, 2))
+            u = _random_free_word(rng, AB_GENS, rng.randint(1, 2))
+            v = _random_free_word(rng, CD_GENS, rng.randint(1, 2))
             labels = u + v + inverse_path(u) + inverse_path(v)
         verts = walk(base, labels)
         if min(map(distance_to_identity, verts)) >= min_distance:

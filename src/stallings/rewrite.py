@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
 from .complexes import ForbiddenRegion, get_complex
 from .elements import (
@@ -47,15 +48,15 @@ from .homotopy import (
     interleave_blocks,
     verify_certificate,
 )
-from .words import TOKEN_GENS
+from .words import AB_GENS, AB_LETTERS, CD_GENS, CD_LETTERS, LETTER_GENS, TOKEN_GENS
 
 GAMMA_1 = get_complex("gamma_1")
 
-AB_BASES = (1, 2)
-CD_BASES = (3, 4)
+# the enumerator's letter order: each letter, then its inverse
+_WALK_LETTERS = tuple(sign * gen for gen in LETTER_GENS for sign in (1, -1))
 
 
-def is_kernel_form(labels: tuple[int, ...]) -> bool:
+def is_kernel_form(labels: Sequence[int]) -> bool:
     """Even length, every consecutive pair of opposite signs."""
     if len(labels) % 2:
         return False
@@ -64,32 +65,33 @@ def is_kernel_form(labels: tuple[int, ...]) -> bool:
     )
 
 
-def split_syllables(labels: tuple[int, ...]) -> list[tuple[str, int, int]]:
-    """Maximal runs of same-factor, same-sign letters as (factor, sign, length)."""
-    out: list[tuple[str, int, int]] = []
+def split_syllables(labels: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
+    """Maximal runs of same-factor, same-sign letters as (factor, sign, length),
+    where the factor is `AB_GENS` or `CD_GENS` itself and compares with `is`."""
+    out: list[tuple[tuple[int, ...], int, int]] = []
     for gen in labels:
-        factor = "ab" if abs(gen) in AB_BASES else "cd"
+        factor = AB_GENS if abs(gen) in AB_GENS else CD_GENS
         sign = 1 if gen > 0 else -1
-        if out and out[-1][0] == factor and out[-1][1] == sign:
+        if out and out[-1][0] is factor and out[-1][1] == sign:
             out[-1] = (factor, sign, out[-1][2] + 1)
         else:
             out.append((factor, sign, 1))
     return out
 
 
-def _away_letter(v: SElement, factor: str, sign: int) -> tuple[int, bool]:
-    """A letter of the factor and sign whose repetitions move away from v.
+def _away_letter(v: SElement, factor: tuple[int, ...], sign: int) -> tuple[int, bool]:
+    """A letter of the factor (`AB_GENS` or `CD_GENS`) and sign whose
+    repetitions move away from v.
 
-    Picks the base other than the one the projection ends in, so repeated
-    appends never cancel; an empty projection falls back to the factor's
-    second base, which is reported so callers can flag it.
+    Picks the factor's letter other than the one v's projection ends in,
+    so repeated appends never cancel; an empty projection falls back to
+    the factor's second letter, which is reported so callers can flag it.
     """
-    bases = AB_BASES if factor == "ab" else CD_BASES
-    proj = v.p_ab if factor == "ab" else v.cd
+    proj = v.p_ab if factor is AB_GENS else v.cd
     if not proj:
-        return sign * bases[1], True
+        return sign * factor[1], True
     last_base = abs(TOKEN_GENS[proj[-1]])
-    return sign * (bases[0] if last_base != bases[0] else bases[1]), False
+    return sign * (factor[0] if last_base != factor[0] else factor[1]), False
 
 
 @dataclass
@@ -113,7 +115,7 @@ class _Rewriter:
         self.fallback = False
 
     def _insert_partner(
-        self, pos: int, length: int, factor: str, sign: int
+        self, pos: int, length: int, factor: tuple[int, ...], sign: int
     ) -> None:
         """Insert an away-moving round trip of `length` copies of one letter."""
         gen, fellback = _away_letter(self.ed.vertex(pos), factor, sign)
@@ -126,7 +128,7 @@ class _Rewriter:
         trace: list[int] = []
         pos = 0
         while pos < len(ed):
-            rem = tuple(ed[pos:])
+            rem = ed[pos:]
             if is_kernel_form(rem):
                 break
             syllables = split_syllables(rem)
@@ -137,17 +139,17 @@ class _Rewriter:
                 raise CertificateError("a zero-sum remainder has at least two syllables")
             factor, sign, k1 = syllables[0]
             factor2, sign2, k2 = syllables[1]
-            other = "cd" if factor == "ab" else "ab"
+            other = CD_GENS if factor is AB_GENS else AB_GENS
             # partner the first syllable and interleave it away
             self._insert_partner(pos + k1, k1, other, -sign)
             interleave_blocks(ed, pos, k1)
             pos += 2 * k1
             # the inverted partner block, k1 letters of `other` with sign,
             # now sits at pos, in front of the second syllable
-            if factor2 == other and sign2 == sign:
+            if factor2 is other and sign2 == sign:
                 self.cases["1"] += 1  # merges with the partner block
                 continue
-            if factor2 == factor:
+            if factor2 is factor:
                 if k2 >= k1:
                     self.cases["2"] += 1
                 else:
@@ -241,7 +243,7 @@ def zero_sum_walks(start: SElement, max_len: int, region=frozenset()):
         if es == 0:
             yield word, dipped
         room = max_len - len(word) - 1
-        for g in (1, -1, 2, -2, 3, -3, 4, -4):
+        for g in _WALK_LETTERS:
             es_g = es + (1 if g > 0 else -1)
             if abs(es_g) <= room:
                 w = step(v, g)
@@ -256,19 +258,12 @@ def zero_sum_words(max_len: int) -> list[tuple[int, ...]]:
 def transversal_bases() -> tuple[SElement, ...]:
     """One base vertex per factor-length split (i, n-i) for 3 <= n <= 5.
 
-    The words mix letters and signs; the split shapes drive which partner
-    and seam cases the rewriting can reach.
+    Each factor's part reads its alphabet (`AB_LETTERS`, `CD_LETTERS`)
+    cyclically, so the words mix letters and signs; the split shapes drive
+    which partner and seam cases the rewriting can reach.
     """
-
-    def _word(letters: str, length: int) -> str:
-        pattern = []
-        for j in range(length):
-            ch = letters[j % 2]
-            pattern.append(ch if j % 4 < 2 else ch.upper())
-        return "".join(pattern)
-
     return tuple(
-        s_from_word(_word("ab", i) + _word("cd", n - i))
+        s_from_word((AB_LETTERS * n)[:i] + (CD_LETTERS * n)[: n - i])
         for n in (3, 4, 5)
         for i in range(n + 1)
     )

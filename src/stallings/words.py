@@ -7,13 +7,15 @@ words, one over {a,b}, one over {c,d}.
 
 Generators also have integer ids so that paths and relators can be stored
 compactly: a=1, b=2, c=3, d=4, s=5 and the twenty-four two-letter kernel
-generators are 6..29; negation is inversion.
+generators are 6..29; negation is inversion.  The split of the letters into
+the two free factors (`AB_GENS`/`CD_GENS`, `AB_LETTERS`/`CD_LETTERS`) and the
+free reducer `free_reduce`, for words and id sequences alike, live only here.
 """
 
 from __future__ import annotations
 
 from operator import ne
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 GROUP_LETTERS = "abcdABCD"
 S_WORD_LETTERS = GROUP_LETTERS + "sS"
@@ -23,6 +25,11 @@ FLIP = {c: c.swapcase() for c in S_WORD_LETTERS}
 # integer ids for generators of the big presentation
 S_ID = 5
 ID_LETTERS = dict(enumerate("abcds", start=1))
+AB_GENS = (1, 2)
+CD_GENS = (3, 4)
+LETTER_GENS = AB_GENS + CD_GENS
+AB_LETTERS = "abAB"
+CD_LETTERS = "cdCD"
 EGEN_FIRST_ID = 6
 
 
@@ -35,15 +42,20 @@ def is_reduced(word: str) -> bool:
     return all(map(ne, word, word[1:].swapcase()))
 
 
-def reduce_word(word: str) -> str:
-    """Freely reduce a word by cancelling adjacent inverse pairs."""
-    out: list[str] = []
-    for ch in word:
-        if out and out[-1] == FLIP[ch]:
+def free_reduce(items: Iterable, inverse: Callable) -> list:
+    """Freely reduce a sequence by cancelling each item next to its `inverse`."""
+    out = []
+    for x in items:
+        if out and out[-1] == inverse(x):
             out.pop()
         else:
-            out.append(ch)
-    return "".join(out)
+            out.append(x)
+    return out
+
+
+def reduce_word(word: str) -> str:
+    """Freely reduce a word by cancelling adjacent inverse pairs."""
+    return "".join(free_reduce(word, FLIP.__getitem__))
 
 
 def reduce_mul(left: str, right: str) -> str:
@@ -80,8 +92,8 @@ class GElement(NamedTuple):
 
 def g_from_word(word: str) -> GElement:
     """Evaluate a word over {a,b,c,d}+- in the direct product, each factor on its own."""
-    ab = "".join(ch for ch in word if ch in "abAB")
-    cd = "".join(ch for ch in word if ch not in "abAB")
+    ab = "".join(ch for ch in word if ch in AB_LETTERS)
+    cd = "".join(ch for ch in word if ch not in AB_LETTERS)
     return GElement(reduce_word(ab), reduce_word(cd))
 
 

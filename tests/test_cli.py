@@ -384,11 +384,11 @@ def test_source_has_no_asserts():
         pytest.param(("f2p", "--base", "s", "--word", "acAC"),
                      "not in the base group: SElement(ab='', cd='', tail='s')",
                      id="f2p-base-not-in-base-group-named"),
-        # the rewriter's editor refuses a label that is not a letter
+        # the rewriter's editor refuses a label that is not a letter, by its token
         pytest.param(("f2p", "--base", "aaa", "--word", "e1 E1"),
-                     "is not a generator of gamma_1", id="f2p-word-not-letters"),
+                     "label e1 is not a generator of gamma_1", id="f2p-word-not-letters"),
         pytest.param(("pipeline", "--base", "aaaa", "--word", "s e1 S E1"),
-                     "is not a generator of gamma_1", id="pipeline-word-not-letters"),
+                     "label s is not a generator of gamma_1", id="pipeline-word-not-letters"),
         pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--start", "s a a a a a a"),
                      "not in the base group", id="reduce-demo-start-not-in-base-group"),
         # a flag the selected mode never reads

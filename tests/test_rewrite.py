@@ -23,7 +23,7 @@ from stallings.rewrite import (
     zero_sum_walks,
     zero_sum_words,
 )
-from stallings.words import g_from_word, in_kernel
+from stallings.words import AB_GENS, CD_GENS, g_from_word, in_kernel
 
 GAMMA_1 = get_complex("gamma_1")
 
@@ -39,12 +39,12 @@ def test_kernel_form_predicate():
 
 def test_split_syllables():
     assert split_syllables(()) == []
-    assert split_syllables((1, 2, 1)) == [("ab", 1, 3)]
-    assert split_syllables((1, -1)) == [("ab", 1, 1), ("ab", -1, 1)]
+    assert split_syllables((1, 2, 1)) == [(AB_GENS, 1, 3)]
+    assert split_syllables((1, -1)) == [(AB_GENS, 1, 1), (AB_GENS, -1, 1)]
     assert split_syllables((1, 2, -3, -4, -1)) == [
-        ("ab", 1, 2),
-        ("cd", -1, 2),
-        ("ab", -1, 1),
+        (AB_GENS, 1, 2),
+        (CD_GENS, -1, 2),
+        (AB_GENS, -1, 1),
     ]
 
 
@@ -225,7 +225,7 @@ def test_projection_minima_equal_distance_to_identity(m):
 
 def test_rewriter_refuses_labels_that_are_not_letters():
     """The editor's generator check is the rewriter's one letter check."""
-    for word in ((6, -6), (5, 6, -5, -6), (6,)):
+    for word in ((6, -6), (5, 6, -5, -6), (6,), (99,)):
         with pytest.raises(CertificateError, match="is not a generator of gamma_1"):
             rewrite_to_kernel_path(S_IDENTITY, word)
 

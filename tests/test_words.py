@@ -1,16 +1,25 @@
+import operator
 import random
 
 import pytest
 
+from stallings.complexes import get_complex
 from stallings.words import (
+    AB_GENS,
+    AB_LETTERS,
+    CD_GENS,
+    CD_LETTERS,
     EGEN_COUNT,
     EGEN_VALUES,
     EGEN_WORDS,
     GElement,
+    LETTER_GENS,
+    TOKEN_GENS,
     _identity_failures,
     egen_id,
     egen_index,
     exponent_sum,
+    free_reduce,
     g_from_word,
     in_kernel,
     invert_word,
@@ -41,6 +50,10 @@ def test_reduce_word_basic():
     assert reduce_word("aBbA") == ""
     assert reduce_word("abAB") == "abAB"
     assert reduce_word("aabBcCdA") == "aadA"
+    # the same reducer on generator ids, where negation is inversion
+    assert free_reduce((1, 6, -6, -1, 3), operator.neg) == [3]
+    assert free_reduce((), operator.neg) == []
+    assert free_reduce((5, 1, -1, -5, 2, -3), operator.neg) == [2, -3]
 
 
 def test_reduce_word_matches_naive_reducer():
@@ -82,6 +95,14 @@ def test_g_from_word_splits_factors():
     # the two factors commute, so interleavings collapse
     assert g_from_word("acAC") == GElement("", "")
     assert g_from_word("cabd") == g_from_word("abcd")
+
+
+def test_factor_letters_agree_with_the_token_table():
+    assert [TOKEN_GENS[c] for c in "ab"] == list(AB_GENS)
+    assert [TOKEN_GENS[c] for c in "cd"] == list(CD_GENS)
+    assert LETTER_GENS == get_complex("gamma_1").gens
+    assert AB_LETTERS == "ab" + "ab".upper()
+    assert CD_LETTERS == "cd" + "cd".upper()
 
 
 def test_g_multiplication_and_inverse():
