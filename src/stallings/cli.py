@@ -153,7 +153,7 @@ def cmd_f2p(args):
         "ball_radius": args.m,
         "kpath": " ".join(gen_to_token(g) for g in report.certificate.result),
         "case_trace": report.cases,
-        "pair_count": report.pair_count,
+        "pair_count": len(report.certificate.result) // 2,
         "fallback_partner_used": report.fallback_partner_used,
         "min_original_distance": report.min_original_distance,
         "min_swept_distance": report.min_swept_distance,

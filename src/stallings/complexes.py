@@ -8,9 +8,9 @@ means the same 2-cell in every complex containing it.  Relator ids:
     4..27   triangles identifying kernel generator i with its two-letter word
     28..51  squares making the stable letter commute with kernel generator i
 
-Vertices are normal forms; edges are `step` by a signed generator.  Searches
-step by each distinct generator value, `ComplexSpec.steps`, and carry an
-explicit vertex budget so runaway queries fail loudly.
+Vertices are normal forms; an edge is `s_multiply` by a signed generator's
+value, never `step`, whose memo is for walks.  Searches take each distinct
+value once, `ComplexSpec.steps`, and a vertex budget makes a runaway one fail.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .elements import (
     in_kernel_subgroup,
     s_multiply,
     s_parts,
-    step,
 )
 from .words import AB_GENS, CD_GENS, EGEN_IDS, EGEN_LETTERS, LETTER_GENS, S_ID, word_is_over
 
@@ -199,8 +198,6 @@ def neighborhood(
 
 def sphere_sizes(dist: dict[SElement, int]) -> list[int]:
     """Vertex counts per distance layer of a search result."""
-    if not dist:
-        return []
     sizes = [0] * (max(dist.values()) + 1)
     for d in dist.values():
         sizes[d] += 1
@@ -254,9 +251,9 @@ def find_generator_path(
 
 class ForbiddenRegion(dict):
     """A closed metric neighborhood of a finite vertex set, as a dict from each
-    vertex to its distance from the nearest center; its items never change, and
-    every mutating method raises TypeError.  A copy or unpickled region is built
-    again from (spec, centers, radius).
+    vertex to its distance from the nearest center; its own mutating methods raise
+    TypeError (`dict.clear(region)` still empties it).  A copy or unpickled region
+    is built again from (spec, centers, radius).
     `dilated`, the region one step wider, is built on first read and kept."""
 
     def __init__(self, spec: ComplexSpec, centers: Iterable[SElement], radius: int) -> None:
@@ -388,7 +385,7 @@ def ball_to_dot(spec: ComplexSpec, dist: dict[SElement, int]) -> str:
         lines.append(f'  "{_vertex_name(v)}" [xlabel="{d}"];')
     for v in dist:
         for gen in spec.gens:
-            w = step(v, gen)
+            w = s_multiply(v, GEN_VALUES[gen])
             if w in dist:
                 lines.append(
                     f'  "{_vertex_name(v)}" -- "{_vertex_name(w)}"'

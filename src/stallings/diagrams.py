@@ -9,9 +9,9 @@ afterwards through the Euler count and the face-chaining checks.
 Construction wedges one lollipop per factor (a stem spelling the
 conjugator, a cycle spelling the relator) and then folds the boundary
 until it spells the free reduction of the expression word.  Folding two
-boundary edges that already share both endpoints pinches off a sphere;
-such components are swept away afterwards, which is also what reduces a
-factor times its mirror to a point.
+boundary edges that already share both endpoints zips a bigon shut and
+pinches off a sphere, which is swept away at the fold that closes it; this
+is also what reduces a factor times its mirror to a point.
 
 Stable-letter edges on the boundary pair up through chains of square
 faces, since no other relator mentions the stable letter.  The extraction
@@ -46,7 +46,7 @@ class ConjugateFactor:
 
     conjugator: tuple[int, ...]
     relator_id: int
-    sign: int = 1
+    sign: int
 
     def word(self) -> tuple[int, ...]:
         rel = REL_WORDS[self.relator_id]
@@ -56,10 +56,7 @@ class ConjugateFactor:
 
 
 def expression_word(factors) -> tuple[int, ...]:
-    out: tuple[int, ...] = ()
-    for f in factors:
-        out = out + f.word()
-    return out
+    return tuple(g for f in factors for g in f.word())
 
 
 def _reachable(start: int, adjacency: dict[int, list[int]]) -> set[int]:
@@ -144,11 +141,9 @@ class Diagram:
                 continue
             del self.boundary[i : i + 2]
             if d2 == d1 ^ 1:
-                # spur: the corner closes a full turn, so the tip is a leaf
-                # unless a pinched sphere still hangs from it
+                # spur: the corner closes a full turn, so the tip is a leaf (a
+                # sphere is swept at the fold that closes it, so none hangs here)
                 tip = self.origin[d2]
-                if sum(1 for v in self.origin.values() if v == tip) != 1:
-                    self._sweep_spheres()
                 if sum(1 for v in self.origin.values() if v == tip) != 1:
                     raise DiagramError("spur tip is not a leaf")
                 self._delete_edge(d1)
@@ -298,7 +293,6 @@ def build_diagram(factors) -> Diagram:
         dia.boundary.extend(cycle)
         dia.boundary.extend(d ^ 1 for d in reversed(stem))
     dia._fold_boundary()
-    dia._sweep_spheres()
     dia.validate()
     if dia.boundary_word() != tuple(free_reduce(expression_word(factors), neg)):
         raise DiagramError("boundary does not spell the reduced expression")

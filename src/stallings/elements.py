@@ -18,7 +18,7 @@ letter 5, kernel generators 6..29.  `step` right-multiplies a normal form by
 a signed generator's value from the fixed table `GEN_VALUES`, reading a
 bounded memo of `s_multiply` results that is cleared at its cap; nothing is
 stored for an unknown generator.  Walks, the rewriter and the verifier step;
-searches call `s_multiply` directly and never fill the memo.
+searches and drawings (`ball_to_dot`) call `s_multiply` and never fill the memo.
 
 `s_multiply`, the one transition kernel under `step`, the BFS and the
 verifier, is three independent seam reductions, one per projection.

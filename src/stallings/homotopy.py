@@ -208,7 +208,7 @@ def verify_certificate(
         return VerificationResult(False, f"start is not a vertex of {spec.name}", 0)
     labels = list(cert.path)
     for i, gen in enumerate(labels):
-        if abs(gen) not in spec.gens:
+        if type(gen) is not int or abs(gen) not in spec.gens:
             return VerificationResult(False, f"path label {i} is not a generator", 0)
     verts = walk(start, labels)
     swept = set(verts)
@@ -223,7 +223,8 @@ def verify_certificate(
         swept.update(created)
         if any(v in forbidden for v in created):
             return VerificationResult(False, f"move {mi} sweeps into forbidden region", mi)
-    if tuple(labels) != cert.result:
+    # labels hold ints only, so a result entry like 1.0 or True must not compare equal
+    if tuple(labels) != cert.result or not all(type(g) is int for g in cert.result):
         return VerificationResult(
             False, "moves do not produce the claimed final path", len(cert.moves)
         )
@@ -307,14 +308,15 @@ class PathEditor:
     against `spec`, raising `CertificateError`, and walks the path once.
     """
 
-    def __init__(self, spec: ComplexSpec, start: SElement, labels: Iterable[int] = ()):
+    def __init__(self, spec: ComplexSpec, start: SElement, labels: Iterable[int]):
         self.spec = spec
         self.start = start
         self._initial = tuple(labels)
         self._labels = list(self._initial)
         for gen in self._labels:
-            if abs(gen) not in spec.gens:
-                token = GEN_TOKENS.get(gen, gen)
+            # 1.0 and True hash like the id 1 but are not labels; name them by repr
+            if type(gen) is not int or abs(gen) not in spec.gens:
+                token = GEN_TOKENS.get(gen, gen) if type(gen) is int else repr(gen)
                 raise CertificateError(f"label {token} is not a generator of {spec.name}")
         self._verts = walk(start, self._labels)
         self._moves: list[Move] = []

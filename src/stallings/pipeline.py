@@ -70,8 +70,8 @@ from .words import AB_GENS, CD_GENS, S_ID
 
 X_COMPLEX = get_complex("x")
 GAMMA_K = get_complex("gamma_k")
-# the radius-1 ball around the identity in `x`; a region never changes after
-# it is built, so every call can share this one
+# the radius-1 ball around the identity in `x`; a region's own methods refuse
+# every change, so every call can share this one
 DEFAULT_REGION = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
 
 
@@ -92,7 +92,7 @@ class PipelineReport:
     summary: dict[str, object]
     stages: tuple[tuple[str, Certificate], ...]
     certificate: Certificate
-    timing_seconds: float | None = None
+    timing_seconds: float | None
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -301,11 +301,10 @@ def run_main_pipeline(
 
     for p in range(max_level + 1):
         contractor = PathEditor(X_COMPLEX, start, kernel_loop)
-        if produced:
-            stack_stable_conjugations(contractor, 0, produced, p)
-            contract_kernel_generator_loop(contractor, p, produced)
-            for i in range(p - 1, -1, -1):
-                contractor.delete_backtrack(i)
+        stack_stable_conjugations(contractor, 0, produced, p)
+        contract_kernel_generator_loop(contractor, p, produced)
+        for i in range(p - 1, -1, -1):
+            contractor.delete_backtrack(i)
         stage3 = contractor.certificate(f"contract at stable level {p}")
         if stage3.result:
             raise CertificateError(f"contraction at stable level {p} left a path")
@@ -386,8 +385,7 @@ def run_reduce_demo(
         commute_block(editor, i, 1, len(delta))
         editor.delete_backtrack(i + len(delta))
         detour_lengths.append(len(delta))
-    if len(editor):
-        contract_kernel_generator_loop(editor, 0, len(editor))
+    contract_kernel_generator_loop(editor, 0, len(editor))
 
     cert = editor.certificate("eliminate bands, then contract the residue")
     if cert.result:

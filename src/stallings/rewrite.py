@@ -101,7 +101,6 @@ class RewriteReport:
     certificate: Certificate
     cases: dict[str, int]
     fallback_partner_used: bool
-    pair_count: int
     min_original_distance: int
     min_swept_distance: int | None
     verified: bool
@@ -210,7 +209,6 @@ def rewrite_to_kernel_path(
         certificate=cert,
         cases=rewriter.cases,
         fallback_partner_used=rewriter.fallback,
-        pair_count=len(cert.result) // 2,
         min_original_distance=min_original,
         min_swept_distance=min_original,
         verified=is_kernel_form(cert.result),

@@ -161,8 +161,9 @@ def replay_certificate(cert, forbidden=frozenset()):
             verts.append(reference_step(verts[-1], g))
         return verts
 
+    # a label is an exact int: True and 1.0 compare like the id 1 but are none
     labels = tuple(cert.path)
-    if any(abs(g) not in gens for g in labels):
+    if any(type(g) is not int or abs(g) not in gens for g in labels):
         return False, "bad path label", frozenset()
     swept = set(vertices(labels))
     end = vertices(labels)[-1]
@@ -196,7 +197,7 @@ def replay_certificate(cert, forbidden=frozenset()):
         assert verts[-1] == end, "a move changed the endpoint"
         swept.update(verts)
     swept = _to_library(swept)
-    if labels != tuple(cert.result):
+    if labels != tuple(cert.result) or any(type(g) is not int for g in cert.result):
         return False, "result mismatch", swept
     if any(v in forbidden for v in swept):
         return False, "forbidden vertex swept", swept

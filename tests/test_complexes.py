@@ -337,22 +337,21 @@ def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
     assert len(calls) == sum(sizes[:3]) * len(spec.steps)
 
 
-def test_searches_do_not_call_step(monkeypatch):
-    # searches multiply by ComplexSpec.steps values, so they never fill the
-    # bounded memo in elements.step
+def test_searches_do_not_call_step():
+    # searches and the DOT export multiply by generator values, so they never
+    # fill the bounded memo in elements.step, which is for walks
     import stallings.complexes as complexes
     from stallings import elements
 
-    def no_step(x, gen):
-        raise AssertionError("a search called step")
-
+    assert not hasattr(complexes, "step")
     spec = get_complex("gamma_k")
     goal = scan((6, 7, -6))
-    monkeypatch.setattr(complexes, "step", no_step)
     size = len(elements._step_memo)
-    assert len(neighborhood(spec, (S_IDENTITY,), 2)) > len(spec.steps)
+    dist = neighborhood(spec, (S_IDENTITY,), 2)
+    assert len(dist) > len(spec.steps)
     assert sphere_complement_components(spec, 1, 3)["components"] == 1
     path = find_generator_path(spec, S_IDENTITY, goal)
+    assert ball_to_dot(spec, dist).count(" -- ") > len(dist)
     assert len(elements._step_memo) == size
     assert path is not None and scan(path) == goal
 

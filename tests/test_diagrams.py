@@ -1,12 +1,14 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from stallings.complexes import SQUARE_REL_IDS, TRIANGLE_REL_IDS
+from stallings.complexes import REL_WORDS, SQUARE_REL_IDS, TRIANGLE_REL_IDS
 from stallings.diagrams import (
     Band,
     ConjugateFactor,
+    Diagram,
     DiagramError,
     band_invariants,
     build_diagram,
@@ -155,3 +157,69 @@ def test_exports():
 def test_expression_word_of_negative_factor():
     f = ConjugateFactor((1,), SQUARE_REL_IDS[0], -1)
     assert f.word() == (1, 6, 5, -6, -5, -1)
+
+
+def _mixed_expressions(count, seed=0):
+    """Seeded expressions that fold spheres away: every other one is
+    `random_expression` with 2 to 8 factors, the rest share a conjugator
+    prefix over all 29 generator ids; 30% get a factor's mirror inserted
+    next to it and 20% are shuffled."""
+    rng = random.Random(seed)
+
+    def signed_ids(most):
+        return tuple(rng.choice((1, -1)) * rng.randint(1, 29) for _ in range(rng.randint(0, most)))
+
+    for i in range(count):
+        if i % 2:
+            factors = random_expression(rng, max_factors=2 + i % 7)
+        else:
+            prefix = signed_ids(3)
+            factors = [
+                ConjugateFactor(prefix + signed_ids(2), rng.randrange(len(REL_WORDS)),
+                                rng.choice((1, -1)))
+                for _ in range(rng.randint(1, 5))
+            ]
+        if rng.random() < 0.3:
+            j = rng.randrange(len(factors))
+            f = factors[j]
+            factors.insert(j + 1, ConjugateFactor(f.conjugator, f.relator_id, -f.sign))
+        if rng.random() < 0.2:
+            rng.shuffle(factors)
+        yield factors
+
+
+def test_mixed_expressions_build_as_pinned():
+    """One sha256 over each diagram's JSON and band invariants (or its
+    DiagramError), pinned when the builder still swept after every spur and
+    after the last fold: sweeping only at the bigon fold builds the same."""
+    digest = hashlib.sha256()
+    for factors in _mixed_expressions(2000):
+        try:
+            dia = build_diagram(factors)
+            out = [dia.to_json(), band_invariants(dia)]
+        except DiagramError as exc:
+            out = str(exc)
+        digest.update(json.dumps(out, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "6e8050b488c23ba9037ee538921a173030a857dfae2cc22fc4f55d41e6a4acad"
+    )
+
+
+def test_every_sphere_sweep_removes_a_face(monkeypatch):
+    """The builder sweeps only at the fold that zips a bigon shut, and that
+    fold always pinches off a sphere, so no sweep is wasted."""
+    sweep = Diagram._sweep_spheres
+    removed = []
+
+    def counted(self):
+        before = len(self.faces)
+        sweep(self)
+        removed.append(before - len(self.faces))
+
+    monkeypatch.setattr(Diagram, "_sweep_spheres", counted)
+    for factors in _mixed_expressions(2000):
+        try:
+            build_diagram(factors)
+        except DiagramError:
+            pass
+    assert len(removed) > 500 and min(removed) >= 1

@@ -139,6 +139,18 @@ def test_verify_rejects_malformed_certificates():
     bad_label = Certificate("gamma_1", S_IDENTITY, (6,), (), (6,))
     assert not verify_certificate(bad_label).ok
 
+    # path and result labels are exact ints: a token, True or 1.0 is none,
+    # although True and 1.0 hash and compare like the id 1
+    for path, result, reason in (
+        (("a",), ("a",), "path label 0 is not a generator"),
+        ((True, -1), (True, -1), "path label 0 is not a generator"),
+        ((1, -1), (1.0, -1.0), "moves do not produce the claimed final path"),
+    ):
+        bad = Certificate("gamma_1", S_IDENTITY, path, (), result)
+        res = verify_certificate(bad)
+        assert (res.ok, res.reason) == (False, reason)
+        assert not replay_certificate(bad)[0]
+
     foreign_cell = Certificate(
         "gamma_k", S_IDENTITY, good.path, good.moves, good.result
     )
@@ -223,6 +235,17 @@ def test_cell_that_does_not_close_is_rejected(monkeypatch):
     res = verify_certificate(cert)
     assert not res.ok
     assert "does not close" in res.reason
+
+
+def test_delete_needs_inverse_labels():
+    # e1 and E4 have one value, so e1 e4 is a closed path, but not a backtrack:
+    # a delete reads the labels, not only the vertices
+    path = parse_gens("e1 e4")
+    assert scan(path) == S_IDENTITY
+    cert = Certificate("x", S_IDENTITY, path, (("del", 0),), ())
+    res = verify_certificate(cert)
+    assert (res.ok, res.reason) == (False, "move 0: labels at 0 are not a backtrack")
+    assert not replay_certificate(cert)[0]
 
 
 def test_every_swept_vertex_is_guarded():

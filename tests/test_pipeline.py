@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -108,6 +109,20 @@ def test_main_pipeline_deep_loop_needs_translation():
     assert report.verified
     assert report.summary["stable_level"] == 1
     assert report.summary["levels_tried"] == 2
+
+
+def test_main_pipeline_backtrack_loop_produces_no_kernel_generator():
+    # every pair of the kernel path is a backtrack, so conversion deletes it and
+    # produces nothing; the level-0 contraction then makes no move and verifies
+    report = run_main_pipeline(s_from_word("aaaa"), (1, -1))
+    assert report.verified
+    assert report.summary["stable_level"] == 0
+    assert report.summary["kernel_generator_count"] == 0
+    assert report.stages[2][1].moves == ()
+    text = emit(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "05ea2a6d90b39f12ad2c0f95eea360c0f8181253d6f832d1c3de09ce6f5f108c"
+    )
 
 
 def test_main_pipeline_independent_replay():

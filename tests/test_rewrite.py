@@ -225,9 +225,14 @@ def test_projection_minima_equal_distance_to_identity(m):
 
 def test_rewriter_refuses_labels_that_are_not_letters():
     """The editor's generator check is the rewriter's one letter check."""
-    for word in ((6, -6), (5, 6, -5, -6), (6,), (99,)):
+    for word in ((6, -6), (5, 6, -5, -6), (6,), (99,), (1.0, 3, -1, -3), (True, -1)):
         with pytest.raises(CertificateError, match="is not a generator of gamma_1"):
             rewrite_to_kernel_path(S_IDENTITY, word)
+    # a label that only compares like a letter is named by its repr, not as the letter
+    with pytest.raises(CertificateError, match="label 1.0 is not"):
+        rewrite_to_kernel_path(S_IDENTITY, (1.0, 3, -1, -3))
+    with pytest.raises(CertificateError, match="label True is not"):
+        rewrite_to_kernel_path(S_IDENTITY, (True, -1))
 
 
 def test_transversal_bases_cover_all_splits():
