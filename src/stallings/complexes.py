@@ -8,9 +8,13 @@ means the same 2-cell in every complex containing it.  Relator ids:
     4..27   triangles identifying kernel generator i with its two-letter word
     28..51  squares making the stable letter commute with kernel generator i
 
-Vertices are normal forms; an edge is `s_multiply` by a signed generator's
-value, never `step`, whose memo is for walks.  Searches take each distinct
-value once, `ComplexSpec.steps`, and a vertex budget makes a runaway one fail.
+Vertices are normal forms, and an edge multiplies by a signed generator's
+value.  Searches take each distinct value once, `ComplexSpec.steps`, and a
+vertex budget makes a runaway one fail.  They never call `step`, whose memo
+is for walks: each search makes an `expander`, which multiplies projection by
+projection.  It computes a projection's row, the products of one word with
+the distinct parts of the values in that projection, once per search, and
+builds a vertex's neighbours from the rows of its three projections.
 """
 
 from __future__ import annotations
@@ -23,13 +27,22 @@ from .elements import (
     GEN_VALUES,
     SElement,
     S_IDENTITY,
+    _new_s,
     gen_to_token,
     in_base_group,
     in_kernel_subgroup,
-    s_multiply,
     s_parts,
 )
-from .words import AB_GENS, CD_GENS, EGEN_IDS, EGEN_LETTERS, LETTER_GENS, S_ID, word_is_over
+from .words import (
+    AB_GENS,
+    CD_GENS,
+    EGEN_IDS,
+    EGEN_LETTERS,
+    LETTER_GENS,
+    S_ID,
+    reduce_mul,
+    word_is_over,
+)
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -88,12 +101,24 @@ class ComplexSpec:
         """Each distinct group value of a signed generator (gen, then -gen,
         in `gens` order), mapped to the first signed generator that has it;
         cross-factor generator words commute, so values collide.  Every
-        search steps through it."""
+        search steps through it, by way of `step_parts`."""
         steps: dict[SElement, int] = {}
         for gen in self.gens:
             for g in (gen, -gen):
                 steps.setdefault(GEN_VALUES[g], g)
         return steps
+
+    @cached_property
+    def step_parts(self) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The distinct parts of the `steps` values in each projection (p_ab,
+        cd, tail), and each value, in `steps` order, as a triple of indexes
+        into them."""
+        parts: tuple[dict[str, int], ...] = ({}, {}, {})
+        triples = tuple(
+            tuple(index.setdefault(part, len(index)) for index, part in zip(parts, value))
+            for value in self.steps
+        )
+        return tuple(map(tuple, parts)), triples
 
 
 COMPLEXES: dict[str, ComplexSpec] = {
@@ -156,6 +181,37 @@ def get_complex(name: str) -> ComplexSpec:
 # searches
 # ---------------------------------------------------------------------------
 
+class _Rows(dict):
+    """Rows of one projection: each word read, mapped to its products with
+    the projection's parts, made on the first read."""
+
+    def __init__(self, parts: tuple[str, ...]) -> None:
+        self.parts = parts
+
+    def __missing__(self, word: str) -> list[str]:
+        row = self[word] = [reduce_mul(word, part) for part in self.parts]
+        return row
+
+
+def expander(spec: ComplexSpec) -> Callable[[SElement], list[SElement]]:
+    """A function from a vertex to its neighbours, `s_multiply(v, value)` for
+    each value of `spec.steps`, in that order.
+
+    A ball has far fewer distinct projections than vertices, so the rows are
+    kept by the returned function: one search computes each row once, and
+    its neighbours share the row's strings.
+    """
+    (ab_parts, cd_parts, tail_parts), triples = spec.step_parts
+    ab_rows, cd_rows, tail_rows = _Rows(ab_parts), _Rows(cd_parts), _Rows(tail_parts)
+
+    def expand(v: SElement) -> list[SElement]:
+        p_ab, cd, tail = v
+        ab_row, cd_row, tail_row = ab_rows[p_ab], cd_rows[cd], tail_rows[tail]
+        return [_new_s(SElement, (ab_row[i], cd_row[j], tail_row[k])) for i, j, k in triples]
+
+    return expand
+
+
 def ball(
     spec: ComplexSpec,
     radius: int,
@@ -179,12 +235,11 @@ def neighborhood(
         if v not in dist:
             dist[v] = 0
             frontier.append(v)
-    values = tuple(spec.steps)
+    expand = expander(spec)
     for layer in range(1, radius + 1):
         next_frontier: list[SElement] = []
         for v in frontier:
-            for value in values:
-                w = s_multiply(v, value)
+            for w in expand(v):
                 if w not in dist:
                     if len(dist) >= budget:
                         raise SearchBudgetExceeded(
@@ -225,12 +280,12 @@ def find_generator_path(
         return ()
     parent: dict[SElement, tuple[SElement, int]] = {start: (start, 0)}
     frontier = [start]
-    steps = spec.steps.items()
+    gens = tuple(spec.steps.values())
+    expand = expander(spec)
     while frontier:
         next_frontier: list[SElement] = []
         for v in frontier:
-            for value, gen in steps:
-                w = s_multiply(v, value)
+            for w, gen in zip(expand(v), gens):
                 if w in parent or w in forbidden:
                     continue
                 if len(parent) >= budget:
@@ -308,7 +363,7 @@ def sphere_complement_components(
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
     dist = ball(spec, r + 1, budget=budget)
-    values = tuple(spec.steps)
+    expand = expander(spec)
     frontier = [v for v, d in dist.items() if d == r + 1]
     for i, v in enumerate(frontier):
         dist[v] = -1 - i
@@ -331,8 +386,7 @@ def sphere_complement_components(
         next_frontier: list[SElement] = []
         for v in frontier:
             label = dist[v]
-            for value in values:
-                w = s_multiply(v, value)
+            for w in expand(v):
                 dw = dist.get(w)
                 if dw is None:
                     if len(dist) >= budget:
@@ -349,8 +403,8 @@ def sphere_complement_components(
     for v in outer:
         if len(parent) - merges <= 1:
             break
-        for value in values:
-            dw = dist.get(s_multiply(v, value), 0)
+        for w in expand(v):
+            dw = dist.get(w, 0)
             if dw < 0:
                 merges += union(-1 - dist[v], -1 - dw)
     roots = [find(i) for i in range(len(parent))]
@@ -383,9 +437,13 @@ def ball_to_dot(spec: ComplexSpec, dist: dict[SElement, int]) -> str:
     lines = ["graph {", "  node [shape=circle, fontsize=10];"]
     for v, d in sorted(dist.items(), key=lambda item: s_parts(item[0])):
         lines.append(f'  "{_vertex_name(v)}" [xlabel="{d}"];')
+    slot = {value: i for i, value in enumerate(spec.steps)}
+    slots = [(slot[GEN_VALUES[gen]], gen) for gen in spec.gens]
+    expand = expander(spec)
     for v in dist:
-        for gen in spec.gens:
-            w = s_multiply(v, GEN_VALUES[gen])
+        neighbours = expand(v)
+        for i, gen in slots:
+            w = neighbours[i]
             if w in dist:
                 lines.append(
                     f'  "{_vertex_name(v)}" -- "{_vertex_name(w)}"'

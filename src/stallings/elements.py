@@ -17,11 +17,14 @@ Generators are signed integer ids as in `words`: letters 1..4, the stable
 letter 5, kernel generators 6..29.  `step` right-multiplies a normal form by
 a signed generator's value from the fixed table `GEN_VALUES`, reading a
 bounded memo of `s_multiply` results that is cleared at its cap; nothing is
-stored for an unknown generator.  Walks, the rewriter and the verifier step;
-searches and drawings (`ball_to_dot`) call `s_multiply` and never fill the memo.
+stored for an unknown generator.  Walks, the rewriter and the verifier step.
+Searches and drawings (`ball_to_dot`) never fill the memo: they multiply
+projection by projection through `complexes.expander`, which keeps one
+search's products of each projection word with the generator values' parts.
 
-`s_multiply`, the one transition kernel under `step`, the BFS and the
-verifier, is three independent seam reductions, one per projection.
+`s_multiply`, the transition kernel under `step` and the verifier, is three
+independent seam reductions, one per projection; the searches' expander makes
+the same products from those projections' rows.
 """
 
 from __future__ import annotations
@@ -167,7 +170,8 @@ def step(x: SElement, gen: int) -> SElement:
     """Right-multiply a normal form by one signed generator.
 
     Reads a bounded memo of `s_multiply` results, cleared at its cap, and
-    stores nothing for an unknown generator.  Searches call `s_multiply`.
+    stores nothing for an unknown generator.  Searches do not step: they
+    take neighbours from `complexes.expander`.
     """
     y = _step_memo.get((x, gen))
     if y is None:

@@ -1,4 +1,5 @@
-"""Mutation score of the certificate verifier, the step memo and the diagram sweep.
+"""Mutation score of the certificate verifier, the step memo, the diagram sweep
+and the searches' neighbour kernel.
 
     python tests/mutation_score.py
 
@@ -13,7 +14,9 @@ one line per row and `killed k/n`, and exits 1 if any row survives.
 
 Stdlib only.  pytest does not collect this file: its name does not start
 with `test_`.  A row is added for each check the verifier gains; a row that
-survives is a gap in the tests, not a row to delete.
+survives is a gap in the tests, not a row to delete.  The search kernel's
+rows mix up its three projections, or let the ends pass expand outer
+vertices after one component is left.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ TIMEOUT = 300  # seconds per pytest run
 HOMOTOPY = "src/stallings/homotopy.py"
 ELEMENTS = "src/stallings/elements.py"
 DIAGRAMS = "src/stallings/diagrams.py"
+COMPLEXES = "src/stallings/complexes.py"
 
 T_HOMOTOPY = "tests/test_homotopy.py"
+T_COMPLEXES = "tests/test_complexes.py"
+EXPANDER = f"{T_COMPLEXES}::test_expander_multiplies_by_each_step_value_in_order"
 MALFORMED = f"{T_HOMOTOPY}::test_verify_rejects_malformed_certificates"
 OUTSIDE = f"{T_HOMOTOPY}::test_certificate_outside_its_complex_is_rejected"
 
@@ -102,6 +108,18 @@ MUTANTS = [
      "                    self._sweep_spheres()\n",
      "                    pass\n",
      ("tests/test_diagrams.py::test_mirror_pair_collapses",)),
+    ("expander: cd rows read from the ab cache", COMPLEXES,
+     "ab_rows[p_ab], cd_rows[cd], tail_rows[tail]",
+     "ab_rows[p_ab], ab_rows[cd], tail_rows[tail]",
+     (EXPANDER,)),
+    ("step_parts: index triples built from the wrong projection", COMPLEXES,
+     "for index, part in zip(parts, value)",
+     "for index, part in zip(parts, value[::-1])",
+     (EXPANDER,)),
+    ("sphere_complement_components: outer-pass stop weakened", COMPLEXES,
+     "        if len(parent) - merges <= 1:",
+     "        if len(parent) - merges <= 0:",
+     (f"{T_COMPLEXES}::test_one_ended_shell_expands_no_outer_vertex",)),
 ]
 
 

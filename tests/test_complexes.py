@@ -21,6 +21,7 @@ from stallings.complexes import (
     SearchBudgetExceeded,
     ball,
     ball_to_dot,
+    expander,
     find_generator_path,
     get_complex,
     neighborhood,
@@ -324,17 +325,65 @@ def test_shell_components_agree_with_oracle(name):
 
 def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
     # the inner layers of gamma_k already leave one component, so the only
-    # products are the one pass's (each vertex below R once), and none of an
+    # expansions are the one pass's (each vertex below R once), and none of an
     # outer vertex
     import stallings.complexes as complexes
 
     spec = get_complex("gamma_k")
-    sizes = sphere_sizes(ball(spec, 3))
-    calls = []
-    monkeypatch.setattr(complexes, "s_multiply", lambda x, y: calls.append(1) or s_multiply(x, y))
+    dist = ball(spec, 3)
+    sizes = sphere_sizes(dist)
+    expanded = []
+
+    def counting_expander(spec):
+        expand = expander(spec)
+        return lambda v: expanded.append(v) or expand(v)
+
+    monkeypatch.setattr(complexes, "expander", counting_expander)
     rep = sphere_complement_components(spec, 1, 3)
     assert rep["components"] == 1
-    assert len(calls) == sum(sizes[:3]) * len(spec.steps)
+    assert len(expanded) == len(set(expanded)) == sum(sizes[:3])
+    assert all(dist[v] < 3 for v in expanded)
+
+
+def test_expander_multiplies_by_each_step_value_in_order():
+    # one expander per complex over all the vertices, so rows are both made
+    # and read back; each vertex's neighbours are its products with the
+    # distinct step values, in `steps` order.  The vertices are the radius-2
+    # ball of x and seeded walks over all of x's generators, so most tails
+    # are not empty
+    labels = signed_labels(get_complex("x"))
+    rng = random.Random(26)
+    verts = list(ball(get_complex("x"), 2))
+    verts += [scan(rng.choices(labels, k=rng.randint(3, 9))) for _ in range(40)]
+    assert sum(v.tail != "" for v in verts) > len(verts) // 2
+    for name, spec in COMPLEXES.items():
+        expand = expander(spec)
+        for v in verts + verts[::-1]:
+            assert expand(v) == [s_multiply(v, value) for value in spec.steps], (name, v)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_find_generator_path_matches_reference_on_every_complex(name):
+    # the reference steps every signed label through `s_multiply` (by way of
+    # `step`).  Seeded starts lie off the identity coset where the complex
+    # allows it, goals up to three steps on, with and without a region in the
+    # way; the budget ends a search the region cuts off in free_ab's tree
+    spec = get_complex(name)
+    labels = signed_labels(spec)
+    rng = random.Random(2026)
+    starts = [scan(rng.choices(labels, k=4)) for _ in range(4)]
+    if spec.member(s_from_word("s")):
+        starts += [scan(rng.choices(labels, k=4), start=s_from_word("sas")) for _ in range(2)]
+    region = ForbiddenRegion(spec, (S_IDENTITY,), 1)
+    found = 0
+    for start in starts:
+        goal = scan(rng.choices(labels, k=3), start=start)
+        for forbidden in (frozenset(), region):
+            args = (spec, start, goal, forbidden, 20_000)
+            expected = _path_or_overrun(reference_generator_path, *args)
+            assert _path_or_overrun(find_generator_path, *args) == expected
+            found += isinstance(expected, tuple)
+    assert found >= len(starts)
 
 
 def test_searches_do_not_call_step():
