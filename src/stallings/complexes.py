@@ -304,23 +304,24 @@ def find_generator_path(
     return None
 
 
-class ForbiddenRegion(dict):
-    """A closed metric neighborhood of a finite vertex set, as a dict from each
-    vertex to its distance from the nearest center; its own mutating methods raise
-    TypeError (`dict.clear(region)` still empties it).  A copy or unpickled region
-    is built again from (spec, centers, radius).
-    `dilated`, the region one step wider, is built on first read and kept."""
+class ForbiddenRegion(frozenset):
+    """The closed metric neighborhood of a finite vertex set, as a frozenset of
+    vertices whose attributes refuse assignment, so nothing changes it.  A copy or
+    unpickled region is built again; `dilated`, one step wider, is kept once read."""
 
-    def __init__(self, spec: ComplexSpec, centers: Iterable[SElement], radius: int) -> None:
-        self.spec = spec
-        self.centers = tuple(dict.fromkeys(centers))
-        self.radius = radius
-        super().__init__(neighborhood(spec, self.centers, radius))
+    def __new__(cls, spec: ComplexSpec, centers: Iterable[SElement], radius: int):
+        centers = tuple(dict.fromkeys(centers))
+        self = super().__new__(cls, neighborhood(spec, centers, radius))
+        vars(self).update(spec=spec, centers=centers, radius=radius)
+        return self
 
-    def _refuse(self, *args, **kwargs):
+    def __init__(self, *args) -> None:
+        """`__new__` builds the region; this keeps a wrapped `__init__` off `object.__init__`."""
+
+    def _refuse(self, *args):
         raise TypeError("a ForbiddenRegion cannot be changed")
 
-    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = _refuse
+    __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self):
         return ForbiddenRegion, (self.spec, self.centers, self.radius)

@@ -70,8 +70,7 @@ from .words import AB_GENS, CD_GENS, S_ID
 
 X_COMPLEX = get_complex("x")
 GAMMA_K = get_complex("gamma_k")
-# the radius-1 ball around the identity in `x`; a region's own methods refuse
-# every change, so every call can share this one
+# the radius-1 ball around the identity in `x`; nothing changes a region, so all share it
 DEFAULT_REGION = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
 
 

@@ -1,5 +1,6 @@
-"""Mutation score of the certificate verifier, the step memo, the diagram sweep
-and the searches' neighbour kernel.
+"""Mutation score of the certificate verifier, the step memo, the diagram sweep,
+the searches' neighbour kernel, the forbidden region, the pipeline's base
+exclusion radius and the rewriter's guards.
 
     python tests/mutation_score.py
 
@@ -16,7 +17,10 @@ Stdlib only.  pytest does not collect this file: its name does not start
 with `test_`.  A row is added for each check the verifier gains; a row that
 survives is a gap in the tests, not a row to delete.  The search kernel's
 rows mix up its three projections, or let the ends pass expand outer
-vertices after one component is left.
+vertices after one component is left.  The region's rows let its attributes
+be assigned or build `dilated` no wider than the region; the others count
+off-base vertices in `base_exclusion_radius`, drop the rewriter's
+away-from-identity test, or let `contract_product_loop` take an open segment.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ HOMOTOPY = "src/stallings/homotopy.py"
 ELEMENTS = "src/stallings/elements.py"
 DIAGRAMS = "src/stallings/diagrams.py"
 COMPLEXES = "src/stallings/complexes.py"
+PIPELINE = "src/stallings/pipeline.py"
+REWRITE = "src/stallings/rewrite.py"
 
 T_HOMOTOPY = "tests/test_homotopy.py"
 T_COMPLEXES = "tests/test_complexes.py"
@@ -120,6 +126,26 @@ MUTANTS = [
      "        if len(parent) - merges <= 1:",
      "        if len(parent) - merges <= 0:",
      (f"{T_COMPLEXES}::test_one_ended_shell_expands_no_outer_vertex",)),
+    ("ForbiddenRegion: attribute assignment allowed", COMPLEXES,
+     "    __setattr__ = __delattr__ = _refuse\n",
+     "",
+     (f"{T_COMPLEXES}::test_forbidden_region_refuses_mutation",)),
+    ("ForbiddenRegion: dilated built at the region's own radius", COMPLEXES,
+     "ForbiddenRegion(self.spec, self.centers, self.radius + 1)",
+     "ForbiddenRegion(self.spec, self.centers, self.radius)",
+     (f"{T_COMPLEXES}::test_dilated_region_is_built_once",)),
+    ("base_exclusion_radius: off-base vertices counted", PIPELINE,
+     "for v in region if in_base_group(v))",
+     "for v in region)",
+     ("tests/test_pipeline.py::test_base_exclusion_radius_skips_vertices_off_the_base_group",)),
+    ("rewrite_to_kernel_path: away-from-identity test off", REWRITE,
+     "report.verified = res.ok and report.min_swept_distance >= min_original",
+     "report.verified = res.ok",
+     ("tests/test_rewrite.py::test_rewrite_that_sweeps_toward_the_identity_is_not_verified",)),
+    ("contract_product_loop: closed-loop check off", HOMOTOPY,
+     "    if editor.vertex(pos) != editor.vertex(pos + length):\n",
+     "    if False:\n",
+     (f"{T_HOMOTOPY}::test_contract_rejects_open_paths",)),
 ]
 
 

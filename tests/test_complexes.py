@@ -39,7 +39,7 @@ from stallings.elements import (
     scan,
     step,
 )
-from stallings.pipeline import DEFAULT_REGION
+from stallings.pipeline import DEFAULT_REGION, run_main_pipeline
 from stallings.words import reduce_mul
 
 
@@ -168,10 +168,11 @@ def test_neighborhood_multisource():
 def test_forbidden_region():
     spec = get_complex("x")
     region = ForbiddenRegion(spec, [S_IDENTITY], 1)
-    assert isinstance(region, dict)
-    assert region == neighborhood(spec, [S_IDENTITY], 1)
-    assert region[S_IDENTITY] == 0
-    assert region[s_from_word("s")] == 1
+    assert isinstance(region, frozenset)
+    dist = neighborhood(spec, [S_IDENTITY], 1)
+    assert region == set(dist)
+    assert dist[S_IDENTITY] == 0
+    assert dist[s_from_word("s")] == 1
     assert len(region) == 27  # identity plus 26 distinct neighbor values
     assert S_IDENTITY in region
     assert s_from_word("s") in region
@@ -180,8 +181,11 @@ def test_forbidden_region():
 
 def test_dilated_region_is_built_once():
     spec = get_complex("x")
-    region = ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a"), S_IDENTITY], 1)
-    items, size = dict(region), len(region)
+    listed = [S_IDENTITY, s_from_word("a"), S_IDENTITY]
+    # centers from a one-shot generator give what the list gives
+    region = ForbiddenRegion(spec, (v for v in listed), 1)
+    assert region == ForbiddenRegion(spec, listed, 1)
+    items, size = set(region), len(region)
     dilated = region.dilated
     assert region.dilated is dilated
     fresh = ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a")], 2)
@@ -191,34 +195,44 @@ def test_dilated_region_is_built_once():
     assert dilated.radius == region.radius + 1 == 2
     # reading it leaves the region's own items as they were
     assert len(region) == size
-    assert dict(region) == items
+    assert set(region) == items
     assert region == ForbiddenRegion(spec, [S_IDENTITY, s_from_word("a")], 1)
     assert region != dilated
 
 
 def test_forbidden_region_refuses_mutation():
     spec = get_complex("x")
+    outside = s_from_word("ss")
     for region in (ForbiddenRegion(spec, [S_IDENTITY], 1), DEFAULT_REGION):
-        items = dict(region)
+        items, dilated = set(region), region.dilated
+        attrs = (region.spec, region.centers, region.radius)
         vertex = next(iter(region))
-        for method, args in (
-            ("__setitem__", (s_from_word("ss"), 2)),
-            ("__delitem__", (vertex,)),
-            ("clear", ()),
-            ("pop", (vertex,)),
-            ("popitem", ()),
-            ("setdefault", (s_from_word("ss"), 2)),
-            ("update", ({s_from_word("ss"): 2},)),
-            ("__ior__", ({s_from_word("ss"): 2},)),
+        for function, args in (
+            (dict.clear, ()),
+            (dict.__setitem__, (outside, 2)),
+            (dict.update, ({outside: 2},)),
+            (set.add, (outside,)),
+            (set.clear, ()),
+            (set.discard, (vertex,)),
         ):
+            with pytest.raises(TypeError):
+                function(region, *args)
+        for name in ("spec", "centers", "radius", "dilated"):
             with pytest.raises(TypeError, match="cannot be changed"):
-                getattr(region, method)(*args)
-        with pytest.raises(TypeError, match="cannot be changed"):
-            region |= {}
-        with pytest.raises(TypeError, match="cannot be changed"):
-            region[vertex] = 5
-        assert dict(region) == items
+                setattr(region, name, None)
+            with pytest.raises(TypeError, match="cannot be changed"):
+                delattr(region, name)
+        # `|=` on a frozenset rebinds the name to a new set
+        r = region
+        r |= {outside}
+        assert r is not region and outside in r and outside not in region
+        assert set(region) == items
+        assert (region.spec, region.centers, region.radius) == attrs
+        assert region.dilated is dilated
         assert region.dilated == ForbiddenRegion(spec, region.centers, region.radius + 1)
+    summary = run_main_pipeline(s_from_word("aaa"), (1, 3, -1, -3)).summary
+    assert summary["verified"]
+    assert (summary["region_size"], summary["region_radius"]) == (27, 1)
 
 
 @pytest.mark.parametrize(
@@ -235,7 +249,8 @@ def test_forbidden_region_copies_are_built_again(duplicate):
         assert (copied.spec, copied.centers, copied.radius) == (
             region.spec, region.centers, region.radius)
         with pytest.raises(TypeError, match="cannot be changed"):
-            copied.clear()
+            copied.radius = 0
+        assert copied.radius == region.radius
 
 
 def _path_or_overrun(search, *args):

@@ -383,7 +383,7 @@ def test_contract_random_product_loops():
 
 def test_contract_rejects_open_paths():
     ed = PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac"))
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="segment is not a closed loop"):
         contract_product_loop(ed, 0, 2)
 
 

@@ -67,6 +67,15 @@ def test_base_exclusion_radius():
     assert base_exclusion_radius(letters_only) == 1
 
 
+def test_base_exclusion_radius_skips_vertices_off_the_base_group():
+    # of the ball around s only the identity is in the base group; its
+    # off-base vertices reach distance 4
+    region = ForbiddenRegion(X, (s_from_word("s"),), 1)
+    assert S_IDENTITY in region
+    assert base_exclusion_radius(region) == 0
+    assert max(distance_to_identity(v) for v in region) == 4
+
+
 def test_find_generator_path_detours():
     # the only distance-1 midpoint between the identity and e6^2 is e6
     blocked = scan((6,))

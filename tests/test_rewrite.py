@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import replay_certificate
+from stallings import rewrite
 from stallings.complexes import ForbiddenRegion, get_complex
 from stallings.elements import (
     S_IDENTITY,
@@ -23,7 +24,7 @@ from stallings.rewrite import (
     zero_sum_walks,
     zero_sum_words,
 )
-from stallings.words import AB_GENS, CD_GENS, g_from_word, in_kernel
+from stallings.words import AB_GENS, CD_GENS, TOKEN_GENS, g_from_word, in_kernel
 
 GAMMA_1 = get_complex("gamma_1")
 
@@ -233,6 +234,23 @@ def test_rewriter_refuses_labels_that_are_not_letters():
         rewrite_to_kernel_path(S_IDENTITY, (1.0, 3, -1, -3))
     with pytest.raises(CertificateError, match="label True is not"):
         rewrite_to_kernel_path(S_IDENTITY, (True, -1))
+
+
+def test_rewrite_that_sweeps_toward_the_identity_is_not_verified(monkeypatch):
+    """A certificate that verifies but dips below the input's minimum distance
+    fails the away-from-identity check."""
+    away = rewrite._away_letter
+
+    def toward(v, factor, sign):
+        # the base the projection ends in, so repeated appends can cancel
+        proj = v.p_ab if factor is AB_GENS else v.cd
+        return (sign * abs(TOKEN_GENS[proj[-1]]), False) if proj else away(v, factor, sign)
+
+    monkeypatch.setattr(rewrite, "_away_letter", toward)
+    report = rewrite_to_kernel_path(transversal_bases()[0], (3, 4, -4, -2))
+    assert verify_certificate(report.certificate).ok
+    assert (report.min_original_distance, report.min_swept_distance) == (2, 1)
+    assert not report.verified
 
 
 def test_transversal_bases_cover_all_splits():
