@@ -89,11 +89,11 @@ def _any_vertex(v: SElement) -> bool:
 
 @dataclass(frozen=True)
 class ComplexSpec:
-    """A named complex: generators, relator slice, vertex membership test."""
+    """A named complex: generators, relator ids, vertex membership test."""
 
     name: str
     gens: tuple[int, ...]
-    relator_ids: tuple[int, ...]
+    relator_ids: frozenset[int]
     member: Callable[[SElement], bool]
 
     @cached_property
@@ -127,43 +127,43 @@ COMPLEXES: dict[str, ComplexSpec] = {
         ComplexSpec(
             "gamma_k",
             EGEN_IDS,
-            (),
+            frozenset(),
             in_kernel_subgroup,
         ),
         ComplexSpec(
             "gamma_1",
             LETTER_GENS,
-            COMMUTATOR_REL_IDS,
+            frozenset(COMMUTATOR_REL_IDS),
             in_base_group,
         ),
         ComplexSpec(
             "gamma_2",
             LETTER_GENS + EGEN_IDS,
-            COMMUTATOR_REL_IDS + TRIANGLE_REL_IDS,
+            frozenset(COMMUTATOR_REL_IDS + TRIANGLE_REL_IDS),
             in_base_group,
         ),
         ComplexSpec(
             "gamma_h",
             (S_ID,) + EGEN_IDS,
-            (),
+            frozenset(),
             _tail_is_s_power,
         ),
         ComplexSpec(
             "gamma_h_bar",
             (S_ID,) + EGEN_IDS,
-            SQUARE_REL_IDS,
+            frozenset(SQUARE_REL_IDS),
             _tail_is_s_power,
         ),
         ComplexSpec(
             "x",
             LETTER_GENS + (S_ID,) + EGEN_IDS,
-            tuple(range(len(REL_WORDS))),
+            frozenset(range(len(REL_WORDS))),
             _any_vertex,
         ),
         ComplexSpec(
             "free_ab",
             AB_GENS,
-            (),
+            frozenset(),
             _is_free_ab,
         ),
     )

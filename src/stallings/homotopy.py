@@ -245,14 +245,13 @@ def _move_from_json(data: Sequence) -> Move:
     kind = data[0] if isinstance(data, list) and data else None
     if not (isinstance(kind, str) and len(data) == MOVE_ARITY.get(kind)):
         raise ValueError(f"malformed move {data!r}")
-    args = data[1:]
-    types = (int, str) if kind == "ins" else (int,) * len(args)
-    # bool is a subclass of int, but JSON true/false is not an integer field
-    if not all(isinstance(x, t) and not isinstance(x, bool) for x, t in zip(args, types)):
-        raise ValueError(f"malformed move {data!r}")
+    # exact types: JSON true/false is a bool, which subclasses int, and not an integer field
     if kind == "ins":
-        return ("ins", int(args[0]), token_to_gen(args[1]))
-    return (kind, *(int(x) for x in args))
+        if type(data[1]) is int and type(data[2]) is str:
+            return ("ins", data[1], token_to_gen(data[2]))
+    elif set(map(type, data[1:])) == {int}:
+        return tuple(data)
+    raise ValueError(f"malformed move {data!r}")
 
 
 def _json_list(data: dict, key: str, item_type: type) -> list:

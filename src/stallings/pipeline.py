@@ -29,6 +29,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -66,7 +67,7 @@ from .homotopy import (
     verify_certificate,
 )
 from .rewrite import rewrite_to_kernel_path
-from .words import AB_GENS, CD_GENS, S_ID
+from .words import AB_GENS, CD_GENS, S_ID, reduce_mul
 
 X_COMPLEX = get_complex("x")
 GAMMA_K = get_complex("gamma_k")
@@ -114,7 +115,8 @@ def emit(report) -> str:
     a final newline.  A dict or a pipeline report becomes the text of
     `json.dumps(data, sort_keys=True, indent=2)` plus a newline, ASCII-escaped,
     for any dict, list or tuple subclass too (a `Counter`, an `SElement`).
-    It is written here because `json` runs its pure-Python encoder for `indent`.
+    `json` runs its pure-Python encoder for `indent`, so `_encode` writes the
+    text and hands only flat lists and lists of flat rows to json, unindented.
     """
     if isinstance(report, str):
         return report if report.endswith("\n") else report + "\n"
@@ -132,12 +134,33 @@ _SCALAR_TEXT = {
 }
 
 
+_FLAT_ITEMS = {str, int}
+# one item a line, in C when json has it; an ASCII-escaped string holds no raw newline
+_encode_flat = json.JSONEncoder(separators=(",\n", ": ")).encode
+
+
 def _encode(o, newline: str) -> str:
-    """`o` as `emit` writes it, `newline` being the line break and indent of its level."""
+    """`o` as `emit` writes it, `newline` being the line break and indent of its level.
+
+    A non-empty flat list of `_FLAT_ITEMS` (a certificate's path, result or
+    one move), or a non-empty list of such non-empty rows (its moves), is
+    one call of json's encoder, its newlines then indented.  Inside a row a
+    separator sits between scalars, which never end in `]` nor start with
+    `[`, so `],` newline `[` occurs only between rows.
+    """
     encode = _SCALAR_TEXT.get(type(o))
     if encode is not None:
         return encode(o)
     inner = newline + "  "
+    if type(o) is list and o:
+        kinds = set(map(type, o))
+        if kinds <= _FLAT_ITEMS:
+            return "[" + inner + _encode_flat(o)[1:-1].replace("\n", inner) + newline + "]"
+        if kinds == {list} and all(o) and set(map(type, chain.from_iterable(o))) <= _FLAT_ITEMS:
+            deeper = inner + "  "
+            rows = _encode_flat(o)[2:-2].replace("\n", deeper)
+            rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+            return "[" + inner + "[" + deeper + rows + inner + "]" + newline + "]"
     if isinstance(o, dict):
         ends, parts = "{}", [f"{_key_text(k)}: {_encode(v, inner)}" for k, v in sorted(o.items())]
     elif isinstance(o, (list, tuple)):
@@ -181,16 +204,23 @@ def combing_radius(swept: Iterable[SElement], loop_verts: Sequence[SElement]) ->
     a vertex's scan stops at the first loop vertex no farther than the
     running max, since that vertex cannot raise it.  Swept vertices on the
     loop are skipped without a product: their min is 0, which never exceeds
-    the running max (it starts at 0), so the value is the same.  Off the
+    the running max (it starts at 0), so the value is the same.  When w and
+    v are both in the base group, so is w^-1 v, and its distance |p_ab| +
+    |cd| is read from two free products, without a product in S.  Off the
     base group `distance_to_identity` is a word-length bound, so the value
     is a bound there.
     """
-    anchors = dict.fromkeys(loop_verts)
+    anchors = {v: in_base_group(v) for v in loop_verts}
     radius = 0
     for w_inv in map(s_invert, (w for w in swept if w not in anchors)):
+        w_ab, w_cd, _ = w_inv
+        on_base = in_base_group(w_inv)
         nearest = []
-        for v in anchors:
-            d = distance_to_identity(s_multiply(w_inv, v))
+        for v, v_on_base in anchors.items():
+            if on_base and v_on_base:
+                d = len(reduce_mul(w_ab, v.p_ab)) + len(reduce_mul(w_cd, v.cd))
+            else:
+                d = distance_to_identity(s_multiply(w_inv, v))
             if d <= radius:
                 break
             nearest.append(d)

@@ -1,6 +1,7 @@
-"""Mutation score of the certificate verifier, the step memo, the diagram sweep,
-the searches' neighbour kernel, the forbidden region, the pipeline's base
-exclusion radius and the rewriter's guards.
+"""Mutation score of the certificate verifier and its JSON reader, the step
+memo, the diagram sweep, the searches' neighbour kernel, the forbidden region,
+the pipeline's guards and combing radius, the report encoder and the
+rewriter's guards.
 
     python tests/mutation_score.py
 
@@ -20,7 +21,10 @@ rows mix up its three projections, or let the ends pass expand outer
 vertices after one component is left.  The region's rows let its attributes
 be assigned or build `dilated` no wider than the region; the others count
 off-base vertices in `base_exclusion_radius`, drop the rewriter's
-away-from-identity test, or let `contract_product_loop` take an open segment.
+away-from-identity test or syllable-count check, drop `run_reduce_demo`'s
+band-count check, or let `contract_product_loop` take an open segment.  The
+encoder's rows break its fast path for lists of rows, and the combing row
+reads an off-base pair's distance from the projections.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ T_COMPLEXES = "tests/test_complexes.py"
 EXPANDER = f"{T_COMPLEXES}::test_expander_multiplies_by_each_step_value_in_order"
 MALFORMED = f"{T_HOMOTOPY}::test_verify_rejects_malformed_certificates"
 OUTSIDE = f"{T_HOMOTOPY}::test_certificate_outside_its_complex_is_rejected"
+EXACT_INTS = f"{T_HOMOTOPY}::test_certificate_from_json_wants_exact_ints_in_move_fields"
+T_PIPELINE = "tests/test_pipeline.py"
+ENCODER = f"{T_PIPELINE}::test_emit_flat_lists_and_rows_match_json_dumps"
 
 MUTANTS = [
     ("_apply_move: closure check off", HOMOTOPY,
@@ -103,9 +110,14 @@ MUTANTS = [
      "            if abs(gen) not in spec.gens:\n                token",
      ("tests/test_rewrite.py::test_rewriter_refuses_labels_that_are_not_letters",)),
     ("_move_from_json: bool accepted", HOMOTOPY,
-     "isinstance(x, t) and not isinstance(x, bool) for",
-     "isinstance(x, t) for",
-     ("tests/test_cli.py::test_bad_input_exits_2_without_traceback[cert-bool-move-field]",)),
+     "    elif set(map(type, data[1:])) == {int}:",
+     "    elif set(map(type, data[1:])) <= {int, bool}:",
+     ("tests/test_cli.py::test_bad_input_exits_2_without_traceback[cert-bool-move-field]",
+      f"{EXACT_INTS}[true]")),
+    ("_move_from_json: an insert's position may be a bool", HOMOTOPY,
+     "        if type(data[1]) is int and type(data[2]) is str:",
+     "        if isinstance(data[1], int) and type(data[2]) is str:",
+     (f"{EXACT_INTS}[true]",)),
     ("step: memo keyed by (x, abs(gen))", ELEMENTS,
      "    y = _step_memo.get((x, gen))",
      "    y = _step_memo.get((x, abs(gen)))",
@@ -137,7 +149,7 @@ MUTANTS = [
     ("base_exclusion_radius: off-base vertices counted", PIPELINE,
      "for v in region if in_base_group(v))",
      "for v in region)",
-     ("tests/test_pipeline.py::test_base_exclusion_radius_skips_vertices_off_the_base_group",)),
+     (f"{T_PIPELINE}::test_base_exclusion_radius_skips_vertices_off_the_base_group",)),
     ("rewrite_to_kernel_path: away-from-identity test off", REWRITE,
      "report.verified = res.ok and report.min_swept_distance >= min_original",
      "report.verified = res.ok",
@@ -146,6 +158,26 @@ MUTANTS = [
      "    if editor.vertex(pos) != editor.vertex(pos + length):\n",
      "    if False:\n",
      (f"{T_HOMOTOPY}::test_contract_rejects_open_paths",)),
+    ("rewriter: the syllable-count check off", REWRITE,
+     "            if len(trace) >= 2 and trace[-1] >= trace[-2]:\n",
+     "            if False:\n",
+     ("tests/test_rewrite.py::test_rewrite_whose_syllable_count_stalls_is_refused",)),
+    ("run_reduce_demo: the band-count check off", PIPELINE,
+     "    if len(detour_lengths) != invariants[\"bands\"]:\n",
+     "    if False:\n",
+     (f"{T_PIPELINE}::test_reduce_demo_checks_its_eliminations_against_the_bands",)),
+    ("_encode: the rows' outer separators left unindented", PIPELINE,
+     "rows.replace(\"],\" + deeper + \"[\", inner + \"],\" + inner + \"[\" + deeper)",
+     "rows",
+     (ENCODER,)),
+    ("_encode: the non-empty-row guard dropped", PIPELINE,
+     "if kinds == {list} and all(o) and set(",
+     "if kinds == {list} and set(",
+     (ENCODER,)),
+    ("combing_radius: every pair read from the projections", PIPELINE,
+     "            if on_base and v_on_base:\n",
+     "            if True:\n",
+     (f"{T_PIPELINE}::test_combing_radius_is_the_exact_max_min",)),
 ]
 
 

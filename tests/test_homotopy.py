@@ -509,6 +509,27 @@ def test_certificate_from_json_rejects_malformed_shapes(patch):
         certificate_from_json({**data, **patch})
 
 
+class _Id(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", [1], _Id(1)],
+                         ids=["true", "float", "string", "list", "int-subclass"])
+def test_certificate_from_json_wants_exact_ints_in_move_fields(bad):
+    data = certificate_to_json(PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac")).certificate())
+    # each move's integer fields, and the move as it parses
+    moves = {
+        ("ins", 0, "a"): (("ins", 0, 1), 1),
+        ("del", 0): (("del", 0), 1),
+        ("cell", 0, 0, 0, 0, 2): (("cell", 0, 0, 0, 0, 2), 5),
+    }
+    for move, (parsed, fields) in moves.items():
+        assert certificate_from_json({**data, "moves": [list(move)]}).moves == (parsed,)
+        for field in range(1, 1 + fields):
+            with pytest.raises(ValueError, match="malformed move"):
+                certificate_from_json({**data, "moves": [[*move[:field], bad, *move[field + 1:]]]})
+
+
 def test_certificate_from_json_rejects_non_objects():
     with pytest.raises(ValueError):
         certificate_from_json([1, 2])

@@ -216,6 +216,59 @@ def test_emit_matches_json_dumps():
         emit({(1, 2): "tuple key"})
 
 
+# strings that could look like the flat paths' separators or break their escapes
+_TRICKY = ["\n", "],\n[", "[", "]", "\\", '"', "\u00e9", "\u2028", "\x00\x07\x1f\t\r", "", "a\n[b"]
+
+
+def _random_value(rng, depth=0):
+    """A seeded JSON-like value, biased toward flat lists and lists of rows;
+    never a bare string at the top, which `emit` passes through as DOT text."""
+    scalars = (
+        lambda: rng.choice(_TRICKY) + rng.choice("ab\"\\]\n[") * rng.randint(0, 3),
+        lambda: rng.randint(-10**20, 10**20) if rng.random() < 0.2 else rng.randint(-3, 60),
+        lambda: rng.choice((True, False, None, 1.5, -0.0, 2)),
+    )
+    roll = rng.random()
+    if depth >= 3 or depth and roll < 0.3:
+        return rng.choice(scalars)()
+    size = rng.randint(0, 4)
+    if roll < 0.5:  # flat, mostly of str and int
+        return [rng.choice(scalars[:2] if rng.random() < 0.9 else scalars)() for _ in range(size)]
+    if roll < 0.7:  # rows, now and then an empty or unflat one
+        return [_random_value(rng, 2) if rng.random() < 0.1 else
+                [rng.choice(scalars[:2])() for _ in range(rng.randint(1, 4))]
+                for _ in range(size)]
+    if roll < 0.8:
+        return tuple(_random_value(rng, depth + 1) for _ in range(size))
+    if roll < 0.9:
+        return [_random_value(rng, depth + 1) for _ in range(size)]
+    return {f"k{i}{rng.choice(_TRICKY)}": _random_value(rng, depth + 1) for i in range(size)}
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "pure-python"])
+def test_emit_flat_lists_and_rows_match_json_dumps(monkeypatch, c_encoder):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+
+    def same(data):
+        assert emit(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+    same(_TRICKY)
+    same([_TRICKY, [1, "x", -7], _TRICKY[::-1]])
+    same({"rows": [["ins", 3, "],\n["], ["cell", 1, 2, 3, 4, 5]], "path": ["a", "E1"]})
+    for row in (["a", 1, -2], ["a", True], [None, 1], [1.5, "x"], [-10**30, "y"], [False]):
+        same(row)
+        same([row, ["z", 0]])
+        same([["z", 0], row])
+    for data in ([[]], [[], [1]], [[1], []], [[1, "a"]], [[[1, 2], ["a"]], [[3]]],
+                 [(1, "a"), [2]], ((1, 2), (3,)), [s_from_word("ab"), s_from_word("cd")],
+                 [Counter("abca")], {"c": Counter("xyz"), "v": [s_from_word("as")]}):
+        same(data)
+    rng = random.Random(2000)
+    for _ in range(2000):
+        same(_random_value(rng))
+
+
 def test_compose_certificates_rejects_broken_chain():
     a = Certificate("x", S_IDENTITY, (1, -1), (), (1, -1))
     b = Certificate("x", S_IDENTITY, (2, -2), (), (2, -2))
@@ -309,6 +362,22 @@ def test_reduce_demo_builds_the_dilated_region_once(monkeypatch):
     assert radii == [2]
 
 
+def test_reduce_demo_checks_its_eliminations_against_the_bands(monkeypatch):
+    import stallings.pipeline as pipeline
+
+    invariants = pipeline.band_invariants
+
+    def one_band_more(diagram):
+        counts = invariants(diagram)
+        return {**counts, "bands": counts["bands"] + 1}
+
+    factors = random_expression(random.Random(3))
+    assert run_reduce_demo(factors).verified
+    monkeypatch.setattr(pipeline, "band_invariants", one_band_more)
+    with pytest.raises(CertificateError, match="eliminations do not match the diagram's bands"):
+        run_reduce_demo(factors)
+
+
 def _combing_radius_brute(swept, anchors):
     return max(
         min(distance_to_identity(s_multiply(s_invert(w), v)) for v in anchors)
@@ -340,28 +409,44 @@ def test_combing_radius_is_the_exact_max_min():
     swept = [scan((3, 3, 3)), S_IDENTITY, scan((1,)), scan((1, 3)), scan((2, 2, 4))]
     anchors = [S_IDENTITY, far]
     assert combing_radius(swept, anchors) == _combing_radius_brute(swept, anchors) == 3
+    # swept vertices conjugated by s leave the base group, so their distances
+    # to base anchors come from products in S, and the rest from projections
+    loop = walk(far_basepoint(4), (3, 3, -3, -3))
+    for words in (("sAS", "sabS", "saaS", "sacS"), ("saS", "sacdS"), ("sAAS", "sbbS")):
+        swept = [s_from_word(w) for w in words] + [scan((3, 3, 3)), S_IDENTITY, scan((1, 3, 2))]
+        assert combing_radius(swept, loop) == _combing_radius_brute(swept, loop) >= 15
+        assert combing_radius(swept[::-1], loop) == _combing_radius_brute(swept, loop)
 
 
 def test_combing_radius_skips_loop_vertices(monkeypatch):
     import stallings.pipeline as pipeline
 
-    products = []
+    # the left factor of each product, in S or in a free factor, that
+    # combing_radius takes to read one pair's distance
+    factors = []
 
-    def counting(x, y):
-        products.append(x)
-        return s_multiply(x, y)
+    def counting(multiply):
+        def wrapped(x, y):
+            factors.append(x)
+            return multiply(x, y)
+        return wrapped
 
-    monkeypatch.setattr(pipeline, "s_multiply", counting)
+    monkeypatch.setattr(pipeline, "s_multiply", counting(s_multiply))
+    monkeypatch.setattr(pipeline, "reduce_mul", counting(pipeline.reduce_mul))
     loop = walk(far_basepoint(4), (3, 3, -3, -3))
     anchors = list(dict.fromkeys(loop))
     assert combing_radius(anchors, loop) == 0
-    assert products == []
+    assert factors == []
     off_loop = [scan((3, 3, 3)), S_IDENTITY, scan((1, 3, 2))]
     swept = [anchors[1], off_loop[0], anchors[0], off_loop[1], anchors[2], off_loop[2]]
     value = combing_radius(swept, loop)
-    # each product is taken from a swept vertex's inverse, and every vertex
-    # scanned makes at least the one with the first anchor
-    assert set(products) == {s_invert(w) for w in off_loop}
+    # every vertex here is in the base group, so each pair's distance is one
+    # product in F(a,b) and one in F(c,d), of the swept vertex's inverse's
+    # projections; every vertex scanned makes at least the pair with the
+    # first anchor
+    assert all(type(x) is str for x in factors) and len(factors) % 2 == 0
+    pairs = set(zip(factors[::2], factors[1::2]))
+    assert pairs == {(s_invert(w).p_ab, s_invert(w).cd) for w in off_loop}
     monkeypatch.undo()
     assert value == _combing_radius_brute(swept, loop)
 

@@ -253,6 +253,26 @@ def test_rewrite_that_sweeps_toward_the_identity_is_not_verified(monkeypatch):
     assert not report.verified
 
 
+def test_rewrite_whose_syllable_count_stalls_is_refused(monkeypatch):
+    """A remainder whose syllable count does not fall between two passes
+    raises instead of looping on."""
+    word = (-4, -2, 4, 4)
+    base = transversal_bases()[0]
+    assert rewrite_to_kernel_path(base, word).syllable_counts == [3, 2]
+    split = rewrite.split_syllables
+    calls = []
+
+    def padded(labels):
+        # the k-th call repeats the last syllable k more times
+        calls.append(None)
+        syllables = split(labels)
+        return syllables + syllables[-1:] * len(calls)
+
+    monkeypatch.setattr(rewrite, "split_syllables", padded)
+    with pytest.raises(CertificateError, match="the syllable count did not decrease"):
+        rewrite_to_kernel_path(base, word)
+
+
 def test_transversal_bases_cover_all_splits():
     bases = transversal_bases()
     assert len(bases) == 15
