@@ -14,7 +14,8 @@ vertex budget makes a runaway one fail.  They never call `step`, whose memo
 is for walks: each search makes an `expander`, which multiplies projection by
 projection.  It computes a projection's row, the products of one word with
 the distinct parts of the values in that projection, once per search, and
-builds a vertex's neighbours from the rows of its three projections.
+builds a vertex's neighbours from the rows of its three projections as plain
+tuples; a vertex a search returns or keeps in a region is an `SElement`.
 """
 
 from __future__ import annotations
@@ -193,9 +194,11 @@ class _Rows(dict):
         return row
 
 
-def expander(spec: ComplexSpec) -> Callable[[SElement], list[SElement]]:
+def expander(spec: ComplexSpec) -> Callable[[SElement], list[tuple[str, str, str]]]:
     """A function from a vertex to its neighbours, `s_multiply(v, value)` for
-    each value of `spec.steps`, in that order.
+    each value of `spec.steps`, in that order, as plain (p_ab, cd, tail) tuples:
+    they equal and hash like `SElement`s, are cheaper to build, and the garbage
+    collector stops tracking them, never a tuple subclass.
 
     A ball has far fewer distinct projections than vertices, so the rows are
     kept by the returned function: one search computes each row once, and
@@ -204,10 +207,10 @@ def expander(spec: ComplexSpec) -> Callable[[SElement], list[SElement]]:
     (ab_parts, cd_parts, tail_parts), triples = spec.step_parts
     ab_rows, cd_rows, tail_rows = _Rows(ab_parts), _Rows(cd_parts), _Rows(tail_parts)
 
-    def expand(v: SElement) -> list[SElement]:
+    def expand(v: SElement) -> list[tuple[str, str, str]]:
         p_ab, cd, tail = v
         ab_row, cd_row, tail_row = ab_rows[p_ab], cd_rows[cd], tail_rows[tail]
-        return [_new_s(SElement, (ab_row[i], cd_row[j], tail_row[k])) for i, j, k in triples]
+        return [(ab_row[i], cd_row[j], tail_row[k]) for i, j, k in triples]
 
     return expand
 
@@ -228,7 +231,7 @@ def neighborhood(
     radius: int,
     budget: int = DEFAULT_BUDGET,
 ) -> dict[SElement, int]:
-    """Multi-source breadth-first distances out to the given radius."""
+    """Multi-source breadth-first distances out to the given radius, over `SElement`s."""
     dist: dict[SElement, int] = {}
     frontier: list[SElement] = []
     for v in sources:
@@ -245,6 +248,7 @@ def neighborhood(
                         raise SearchBudgetExceeded(
                             f"{spec.name}: radius-{radius} search exceeded {budget} vertices"
                         )
+                    w = _new_s(SElement, w)
                     dist[w] = layer
                     next_frontier.append(w)
         frontier = next_frontier
@@ -278,12 +282,12 @@ def find_generator_path(
         return None
     if start == goal:
         return ()
-    parent: dict[SElement, tuple[SElement, int]] = {start: (start, 0)}
+    parent: dict[tuple[str, str, str], tuple[tuple[str, str, str], int]] = {start: (start, 0)}
     frontier = [start]
     gens = tuple(spec.steps.values())
     expand = expander(spec)
     while frontier:
-        next_frontier: list[SElement] = []
+        next_frontier: list[tuple[str, str, str]] = []
         for v in frontier:
             for w, gen in zip(expand(v), gens):
                 if w in parent or w in forbidden:
@@ -352,14 +356,14 @@ def sphere_complement_components(
     pass.  After a BFS out to radius r+1, each vertex of layer r+1 gets an
     id of its own, stored in `dist` as the label -1 - id.  The BFS then
     grows layers r+2 .. R from there: a new vertex takes the label of the
-    vertex that found it, and an edge that meets another label unites the
-    two.  So every shell edge with an inner end is seen from that end.  The
-    edges left unseen join two outer vertices (layer R, which is layer r+1
-    when R == r + 1), so the outer vertices are expanded last, uniting the
-    labels of their shell neighbours, and the pass stops once one component
-    is left: no edge can split it again.  On the one-ended complexes the
-    inner layers already leave one component, and no outer vertex is
-    expanded.
+    vertex that found it, and an edge that meets another label attaches its
+    root to the root of the expanded vertex's label, found once per vertex.
+    So every shell edge with an inner end is seen from that end.  The edges
+    left unseen join two outer vertices (layer R, which is layer r+1 when
+    R == r + 1), so the outer vertices are expanded last, merging the labels
+    of their shell neighbours, and the pass stops once one component is
+    left: no edge can split it again.  On the one-ended complexes the inner
+    layers already leave one component, and no outer vertex is expanded.
     """
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
@@ -377,16 +381,11 @@ def sphere_complement_components(
             parent[i] = i = parent[parent[i]]
         return i
 
-    def union(i: int, j: int) -> bool:
-        """Join the components of ids i and j; True if they were apart."""
-        i, j = find(i), find(j)
-        parent[j] = i
-        return i != j
-
     for _ in range(r + 2, R + 1):
-        next_frontier: list[SElement] = []
+        next_frontier: list[tuple[str, str, str]] = []
         for v in frontier:
             label = dist[v]
+            root = find(-1 - label)  # only attached to, and path halving never moves a root
             for w in expand(v):
                 dw = dist.get(w)
                 if dw is None:
@@ -397,17 +396,24 @@ def sphere_complement_components(
                     dist[w] = label
                     sizes[-1 - label] += 1
                     next_frontier.append(w)
-                elif dw < 0 and dw != label:
-                    merges += union(-1 - label, -1 - dw)
+                elif dw < 0 and parent[-1 - dw] != root:
+                    j = find(-1 - dw)
+                    if j != root:
+                        parent[j] = root
+                        merges += 1
         frontier = next_frontier
     outer = frontier
     for v in outer:
         if len(parent) - merges <= 1:
             break
+        root = find(-1 - dist[v])
         for w in expand(v):
             dw = dist.get(w, 0)
-            if dw < 0:
-                merges += union(-1 - dist[v], -1 - dw)
+            if dw < 0 and parent[-1 - dw] != root:
+                j = find(-1 - dw)
+                if j != root:
+                    parent[j] = root
+                    merges += 1
     roots = [find(i) for i in range(len(parent))]
     root_sizes = dict.fromkeys(roots, 0)
     for root, size in zip(roots, sizes):

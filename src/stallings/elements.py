@@ -20,11 +20,11 @@ bounded memo of `s_multiply` results that is cleared at its cap; nothing is
 stored for an unknown generator.  Walks, the rewriter and the verifier step.
 Searches and drawings (`ball_to_dot`) never fill the memo: they multiply
 projection by projection through `complexes.expander`, which keeps one
-search's products of each projection word with the generator values' parts.
+search's products of each projection word with the generator values' parts
+and gives neighbours as plain tuples, equal to the `SElement`s they name.
 
 `s_multiply`, the transition kernel under `step` and the verifier, is three
-independent seam reductions, one per projection; the searches' expander makes
-the same products from those projections' rows.
+independent seam reductions, one per projection, as the expander's rows are.
 """
 
 from __future__ import annotations

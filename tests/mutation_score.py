@@ -1,7 +1,7 @@
 """Mutation score of the certificate verifier and its JSON reader, the step
 memo, the diagram sweep, the searches' neighbour kernel, the forbidden region,
-the pipeline's guards and combing radius, the report encoder and the
-rewriter's guards.
+the shell merge, the pipeline's guards and combing radius, the report
+encoder and the rewriter's guards.
 
     python tests/mutation_score.py
 
@@ -17,14 +17,16 @@ one line per row and `killed k/n`, and exits 1 if any row survives.
 Stdlib only.  pytest does not collect this file: its name does not start
 with `test_`.  A row is added for each check the verifier gains; a row that
 survives is a gap in the tests, not a row to delete.  The search kernel's
-rows mix up its three projections, or let the ends pass expand outer
-vertices after one component is left.  The region's rows let its attributes
-be assigned or build `dilated` no wider than the region; the others count
-off-base vertices in `base_exclusion_radius`, drop the rewriter's
-away-from-identity test or syllable-count check, drop `run_reduce_demo`'s
-band-count check, or let `contract_product_loop` take an open segment.  The
-encoder's rows break its fast path for lists of rows, and the combing row
-reads an off-base pair's distance from the projections.
+rows mix up its three projections, or let `neighborhood` keep the
+expander's plain tuples.  The shell merge's rows drop the attach of one
+root to another in the layer pass or in the outer pass, or let the outer
+pass expand outer vertices after one component is left.  The region's
+rows let its attributes be assigned or build `dilated` no wider than the
+region; the others count off-base vertices in `base_exclusion_radius`, drop
+the rewriter's away-from-identity test or syllable-count check, drop
+`run_reduce_demo`'s band-count check, or let `contract_product_loop` take an
+open segment.  The encoder's rows break its fast path for lists of rows, and
+the combing row reads an off-base pair's distance from the projections.
 """
 
 from __future__ import annotations
@@ -134,6 +136,18 @@ MUTANTS = [
      "for index, part in zip(parts, value)",
      "for index, part in zip(parts, value[::-1])",
      (EXPANDER,)),
+    ("sphere_complement_components: the layer pass's attach dropped", COMPLEXES,
+     "\n                        parent[j] = root\n",
+     "\n                        pass\n",
+     (f"{T_COMPLEXES}::test_shell_components_agree_with_oracle",)),
+    ("sphere_complement_components: the outer pass's attach dropped", COMPLEXES,
+     "\n                    parent[j] = root\n",
+     "\n                    pass\n",
+     (f"{T_COMPLEXES}::test_shell_components_agree_with_oracle",)),
+    ("neighborhood: the expander's plain tuple inserted", COMPLEXES,
+     "                    w = _new_s(SElement, w)\n",
+     "",
+     (f"{T_COMPLEXES}::test_searches_return_and_keep_selements",)),
     ("sphere_complement_components: outer-pass stop weakened", COMPLEXES,
      "        if len(parent) - merges <= 1:",
      "        if len(parent) - merges <= 0:",

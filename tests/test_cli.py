@@ -629,6 +629,13 @@ REPORT_DIGESTS = [
     pytest.param(("ends", "--gap", "1"), 0,
                  "5e56a087a40e3e76d4e66bd596010859f8f0a954c9e85cee2ba2a9061d5fe769",
                  id="ends-gap-1"),
+    pytest.param(("ends", "--r", "0,4", "--names", "gamma_1,free_ab"), 0,
+                 "038dfee5f6ee49e580b53c4b3235fb77ca4896dcdc6dc209cd39ad366ab4fd25",
+                 id="ends-r-0-4-gamma_1-free_ab"),
+    # labels pass through two grown layers on one-ended complexes
+    pytest.param(("ends", "--r", "1", "--gap", "3", "--names", "gamma_k,gamma_h"), 0,
+                 "db59d205eedd0d504222fb44d3508e25b1f9ee42dc399a6a525066ce87c1df74",
+                 id="ends-gap-3-gamma_k-gamma_h"),
     pytest.param(("f2p", "--max-len", "4", "--m", "2"), 0,
                  "3edb4384501bf6c11091ea2e3ff5bb74ba5fb941722584562d5619c90b4dab71",
                  id="f2p-suite"),

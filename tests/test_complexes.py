@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 
@@ -30,6 +31,7 @@ from stallings.complexes import (
 )
 from stallings.elements import (
     S_IDENTITY,
+    SElement,
     distance_to_identity,
     in_base_group,
     s_from_word,
@@ -365,7 +367,8 @@ def test_expander_multiplies_by_each_step_value_in_order():
     # and read back; each vertex's neighbours are its products with the
     # distinct step values, in `steps` order.  The vertices are the radius-2
     # ball of x and seeded walks over all of x's generators, so most tails
-    # are not empty
+    # are not empty.  The neighbours are exact tuples, which the garbage
+    # collector stops tracking, where it tracks an SElement for good
     labels = signed_labels(get_complex("x"))
     rng = random.Random(26)
     verts = list(ball(get_complex("x"), 2))
@@ -374,7 +377,24 @@ def test_expander_multiplies_by_each_step_value_in_order():
     for name, spec in COMPLEXES.items():
         expand = expander(spec)
         for v in verts + verts[::-1]:
-            assert expand(v) == [s_multiply(v, value) for value in spec.steps], (name, v)
+            neighbours = expand(v)
+            assert neighbours == [s_multiply(v, value) for value in spec.steps], (name, v)
+            assert {type(w) for w in neighbours} == {tuple}, (name, v)
+        gc.collect()
+        assert not any(map(gc.is_tracked, neighbours)), name
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_searches_return_and_keep_selements(name):
+    # the expander's neighbours are plain tuples, but every vertex a search
+    # returns or a region keeps is an SElement: `base_exclusion_radius` reads
+    # `.tail` off a region's members
+    spec = get_complex(name)
+    near = list(ball(spec, 1))
+    sources = [near[-1], S_IDENTITY, near[1]]
+    region = ForbiddenRegion(spec, sources, 1)
+    for vertices in (ball(spec, 2), neighborhood(spec, sources, 2), region, region.dilated):
+        assert {type(v) for v in vertices} == {SElement}
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
