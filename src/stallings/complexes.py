@@ -13,9 +13,9 @@ value.  Searches take each distinct value once, `ComplexSpec.steps`, and a
 vertex budget makes a runaway one fail.  They never call `step`, whose memo
 is for walks: each search makes an `expander`, which multiplies projection by
 projection.  It computes a projection's row, the products of one word with
-the distinct parts of the values in that projection, once per search, and
-builds a vertex's neighbours from the rows of its three projections as plain
-tuples; a vertex a search returns or keeps in a region is an `SElement`.
+that projection's part of each value, once per search, and zips a vertex's
+neighbours from the rows of its three projections as plain tuples; a vertex
+a search returns or keeps in a region is an `SElement`.
 """
 
 from __future__ import annotations
@@ -102,24 +102,12 @@ class ComplexSpec:
         """Each distinct group value of a signed generator (gen, then -gen,
         in `gens` order), mapped to the first signed generator that has it;
         cross-factor generator words commute, so values collide.  Every
-        search steps through it, by way of `step_parts`."""
+        search steps through it, by way of `expander`."""
         steps: dict[SElement, int] = {}
         for gen in self.gens:
             for g in (gen, -gen):
                 steps.setdefault(GEN_VALUES[g], g)
         return steps
-
-    @cached_property
-    def step_parts(self) -> tuple[tuple[tuple[str, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The distinct parts of the `steps` values in each projection (p_ab,
-        cd, tail), and each value, in `steps` order, as a triple of indexes
-        into them."""
-        parts: tuple[dict[str, int], ...] = ({}, {}, {})
-        triples = tuple(
-            tuple(index.setdefault(part, len(index)) for index, part in zip(parts, value))
-            for value in self.steps
-        )
-        return tuple(map(tuple, parts)), triples
 
 
 COMPLEXES: dict[str, ComplexSpec] = {
@@ -184,13 +172,15 @@ def get_complex(name: str) -> ComplexSpec:
 
 class _Rows(dict):
     """Rows of one projection: each word read, mapped to its products with
-    the projection's parts, made on the first read."""
+    the projection's part of each step value, in `steps` order, made on the
+    first read with one product per distinct part."""
 
     def __init__(self, parts: tuple[str, ...]) -> None:
         self.parts = parts
 
     def __missing__(self, word: str) -> list[str]:
-        row = self[word] = [reduce_mul(word, part) for part in self.parts]
+        products = {part: reduce_mul(word, part) for part in dict.fromkeys(self.parts)}
+        row = self[word] = [products[part] for part in self.parts]
         return row
 
 
@@ -204,13 +194,11 @@ def expander(spec: ComplexSpec) -> Callable[[SElement], list[tuple[str, str, str
     kept by the returned function: one search computes each row once, and
     its neighbours share the row's strings.
     """
-    (ab_parts, cd_parts, tail_parts), triples = spec.step_parts
-    ab_rows, cd_rows, tail_rows = _Rows(ab_parts), _Rows(cd_parts), _Rows(tail_parts)
+    ab_rows, cd_rows, tail_rows = map(_Rows, zip(*spec.steps))
 
     def expand(v: SElement) -> list[tuple[str, str, str]]:
         p_ab, cd, tail = v
-        ab_row, cd_row, tail_row = ab_rows[p_ab], cd_rows[cd], tail_rows[tail]
-        return [(ab_row[i], cd_row[j], tail_row[k]) for i, j, k in triples]
+        return list(zip(ab_rows[p_ab], cd_rows[cd], tail_rows[tail]))
 
     return expand
 

@@ -113,10 +113,10 @@ def emit(report) -> str:
 
     A string is a DOT drawing from a graph exporter and passes through with
     a final newline.  A dict or a pipeline report becomes the text of
-    `json.dumps(data, sort_keys=True, indent=2)` plus a newline, ASCII-escaped,
-    for any dict, list or tuple subclass too (a `Counter`, an `SElement`).
-    `json` runs its pure-Python encoder for `indent`, so `_encode` writes the
-    text and hands only flat lists and lists of flat rows to json, unindented.
+    `json.dumps(data, sort_keys=True, indent=2)` plus a newline, ASCII-escaped.
+    `json` runs its pure-Python encoder for `indent`, so `_encode` writes
+    plain lists and str-keyed dicts itself, flat lists and lists of flat rows
+    through json's C encoder, and leaves any other shape to json.
     """
     if isinstance(report, str):
         return report if report.endswith("\n") else report + "\n"
@@ -132,6 +132,8 @@ _SCALAR_TEXT = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+# json's text for an empty exact list or dict, the commonest shapes left over
+_EMPTY_TEXT = {list: "[]", dict: "{}"}
 
 
 _FLAT_ITEMS = {str, int}
@@ -146,13 +148,18 @@ def _encode(o, newline: str) -> str:
     one move), or a non-empty list of such non-empty rows (its moves), is
     one call of json's encoder, its newlines then indented.  Inside a row a
     separator sits between scalars, which never end in `]` nor start with
-    `[`, so `],` newline `[` occurs only between rows.
+    `[`, so `],` newline `[` occurs only between rows.  Other lists, and
+    dicts whose keys are all exact `str`, are written item by item; any
+    other shape is json's text, indented, since ASCII-escaped json has raw
+    newlines only between items, and json raises its own `TypeError`s.
     """
     encode = _SCALAR_TEXT.get(type(o))
     if encode is not None:
         return encode(o)
+    if type(o) in _EMPTY_TEXT and not o:
+        return _EMPTY_TEXT[type(o)]
     inner = newline + "  "
-    if type(o) is list and o:
+    if type(o) is list:
         kinds = set(map(type, o))
         if kinds <= _FLAT_ITEMS:
             return "[" + inner + _encode_flat(o)[1:-1].replace("\n", inner) + newline + "]"
@@ -161,22 +168,11 @@ def _encode(o, newline: str) -> str:
             rows = _encode_flat(o)[2:-2].replace("\n", deeper)
             rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
             return "[" + inner + "[" + deeper + rows + inner + "]" + newline + "]"
-    if isinstance(o, dict):
-        ends, parts = "{}", [f"{_key_text(k)}: {_encode(v, inner)}" for k, v in sorted(o.items())]
-    elif isinstance(o, (list, tuple)):
-        ends, parts = "[]", [_encode(v, inner) for v in o]
-    else:
-        kind = next((k for k in (str, int, float) if isinstance(o, k)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        return _SCALAR_TEXT[kind](o)
-    return ends[0] + inner + ("," + inner).join(parts) + newline + ends[1] if parts else ends
-
-
-def _key_text(key) -> str:
-    if not isinstance(key, (str, int, float, type(None))):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key if isinstance(key, str) else _encode(key, ""))
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in o]) + newline + "]"
+    if type(o) is dict and all(type(k) is str for k in o):
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", newline)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Mutation score of the certificate verifier and its JSON reader, the step
-memo, the diagram sweep, the searches' neighbour kernel, the forbidden region,
-the shell merge, the pipeline's guards and combing radius, the report
-encoder and the rewriter's guards.
+memo, the diagram sweep, the searches' neighbour kernel and its rows, the
+forbidden region, the shell merge, the pipeline's guards and combing radius,
+the report encoder and its json fallback, and the rewriter's guards.
 
     python tests/mutation_score.py
 
@@ -17,16 +17,19 @@ one line per row and `killed k/n`, and exits 1 if any row survives.
 Stdlib only.  pytest does not collect this file: its name does not start
 with `test_`.  A row is added for each check the verifier gains; a row that
 survives is a gap in the tests, not a row to delete.  The search kernel's
-rows mix up its three projections, or let `neighborhood` keep the
-expander's plain tuples.  The shell merge's rows drop the attach of one
+rows mix up its three projections, write a row's products out of value
+order, multiply a part once per value that has it, or let `neighborhood`
+keep the expander's plain tuples.  The shell merge's rows drop the attach of one
 root to another in the layer pass or in the outer pass, or let the outer
 pass expand outer vertices after one component is left.  The region's
 rows let its attributes be assigned or build `dilated` no wider than the
 region; the others count off-base vertices in `base_exclusion_radius`, drop
 the rewriter's away-from-identity test or syllable-count check, drop
 `run_reduce_demo`'s band-count check, or let `contract_product_loop` take an
-open segment.  The encoder's rows break its fast path for lists of rows, and
-the combing row reads an off-base pair's distance from the projections.
+open segment.  The encoder's rows break its fast path for lists of rows,
+write a dict with keys other than str item by item, or swap the empty list's
+and dict's texts, and the combing row reads an off-base pair's distance from
+the projections.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ OUTSIDE = f"{T_HOMOTOPY}::test_certificate_outside_its_complex_is_rejected"
 EXACT_INTS = f"{T_HOMOTOPY}::test_certificate_from_json_wants_exact_ints_in_move_fields"
 T_PIPELINE = "tests/test_pipeline.py"
 ENCODER = f"{T_PIPELINE}::test_emit_flat_lists_and_rows_match_json_dumps"
+EMIT = f"{T_PIPELINE}::test_emit_matches_json_dumps"
 
 MUTANTS = [
     ("_apply_move: closure check off", HOMOTOPY,
@@ -132,10 +136,14 @@ MUTANTS = [
      "ab_rows[p_ab], cd_rows[cd], tail_rows[tail]",
      "ab_rows[p_ab], ab_rows[cd], tail_rows[tail]",
      (EXPANDER,)),
-    ("step_parts: index triples built from the wrong projection", COMPLEXES,
-     "for index, part in zip(parts, value)",
-     "for index, part in zip(parts, value[::-1])",
+    ("_Rows: products written out in reversed value order", COMPLEXES,
+     "[products[part] for part in self.parts]",
+     "[products[part] for part in self.parts[::-1]]",
      (EXPANDER,)),
+    ("_Rows: one product per step value, not per distinct part", COMPLEXES,
+     "for part in dict.fromkeys(self.parts)}",
+     "for part in self.parts}",
+     (f"{T_COMPLEXES}::test_expander_multiplies_each_distinct_part_once",)),
     ("sphere_complement_components: the layer pass's attach dropped", COMPLEXES,
      "\n                        parent[j] = root\n",
      "\n                        pass\n",
@@ -188,6 +196,14 @@ MUTANTS = [
      "if kinds == {list} and all(o) and set(",
      "if kinds == {list} and set(",
      (ENCODER,)),
+    ("_encode: a dict with keys other than str written item by item", PIPELINE,
+     "if type(o) is dict and all(type(k) is str for k in o):",
+     "if type(o) is dict:",
+     (EMIT,)),
+    ("_encode: the empty list's and dict's texts swapped", PIPELINE,
+     '_EMPTY_TEXT = {list: "[]", dict: "{}"}',
+     '_EMPTY_TEXT = {list: "{}", dict: "[]"}',
+     (EMIT,)),
     ("combing_radius: every pair read from the projections", PIPELINE,
      "            if on_base and v_on_base:\n",
      "            if True:\n",

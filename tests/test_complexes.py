@@ -384,6 +384,36 @@ def test_expander_multiplies_by_each_step_value_in_order():
         assert not any(map(gc.is_tracked, neighbours)), name
 
 
+def test_expander_multiplies_each_distinct_part_once(monkeypatch):
+    # a row takes one product per distinct part of its projection, however
+    # many step values share that part, and those values' neighbours share
+    # the product's string
+    import stallings.complexes as complexes
+
+    calls = []
+
+    def counting(left, right):
+        calls.append(right)
+        return reduce_mul(left, right)
+
+    monkeypatch.setattr(complexes, "reduce_mul", counting)
+    for name, spec in COMPLEXES.items():
+        verts = list(ball(spec, 2))
+        projections = list(zip(*spec.steps))
+        assert any(len(set(parts)) < len(parts) for parts in projections), name
+        expected = sum(len(set(words)) * len(set(parts))
+                       for words, parts in zip(zip(*verts), projections))
+        calls.clear()
+        expand = expander(spec)
+        for v in verts:
+            neighbours = expand(v)
+            for k, parts in enumerate(projections):
+                firsts = {}
+                for part, w in zip(parts, neighbours):
+                    assert firsts.setdefault(part, w[k]) is w[k], (name, v, k)
+        assert len(calls) == expected, name
+
+
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
 def test_searches_return_and_keep_selements(name):
     # the expander's neighbours are plain tuples, but every vertex a search

@@ -208,6 +208,8 @@ def test_emit_matches_json_dumps():
         "floats": [0.1, 1e-07, float("nan"), float("inf"), -float("inf"), -0.0],
         "literals": [True, False, None],
     })
+    # json's own text for the shapes `_encode` leaves to it, indented at depth
+    same([{"deep": [{"deeper": [Counter("abca"), _Pair(2, "y"), {2: "two", 1: "one"}, ()]}]}])
     same([])
     same({})
     with pytest.raises(TypeError, match="set is not JSON serializable"):
