@@ -66,7 +66,7 @@ from .homotopy import (
     stack_stable_conjugations,
     verify_certificate,
 )
-from .rewrite import rewrite_to_kernel_path
+from .rewrite import Rewriter
 from .words import AB_GENS, CD_GENS, S_ID, reduce_mul
 
 X_COMPLEX = get_complex("x")
@@ -297,9 +297,9 @@ def run_main_pipeline(
     Stage 1 rewrites the letter loop into kernel-pair form, stage 2
     converts the pairs to kernel-generator edges through triangles, and
     stage 3 conjugates the resulting loop up by s^p and contracts it at
-    that level before cancelling the pillar.  p runs upward from 0 with
-    verification of the composed certificate as the oracle, so the
-    reported level is minimal for this contraction scheme.
+    that level before cancelling the pillar.  p runs upward from 0, with the
+    composed certificate's replay, the run's one check, as the oracle, so
+    the reported level is minimal for this contraction scheme.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
@@ -317,8 +317,8 @@ def run_main_pipeline(
             f" requires staying outside radius {k}"
         )
 
-    rewrite = rewrite_to_kernel_path(start, labels)
-    stage1 = rewrite.certificate
+    rewriter = Rewriter(start, labels)
+    stage1 = rewriter.run()
     editor = PathEditor(X_COMPLEX, start, stage1.result)
     produced = convert_letter_pairs(editor, 0, len(stage1.result) // 2)
     stage2 = editor.certificate("convert letter pairs to kernel generators")
@@ -349,8 +349,8 @@ def run_main_pipeline(
         "base_exclusion_radius": k,
         "kernel_path_length": len(stage1.result),
         "kernel_generator_count": produced,
-        "rewrite_cases": dict(sorted(rewrite.cases.items())),
-        "fallback_partner_used": rewrite.fallback_partner_used,
+        "rewrite_cases": dict(sorted(rewriter.cases.items())),
+        "fallback_partner_used": rewriter.fallback,
         "stable_level": p if res.ok else None,
         "levels_tried": p + 1,
     }

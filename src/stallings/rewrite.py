@@ -107,11 +107,19 @@ class RewriteReport:
     syllable_counts: list[int]
 
 
-class _Rewriter:
-    def __init__(self, editor: PathEditor):
-        self.ed = editor
+class Rewriter:
+    """The six-case rewriting of a zero-sum letter path from a base-group start.
+    Building it makes `rewrite_to_kernel_path`'s input checks; `run` returns
+    the certificate unreplayed and keeps `cases`, `fallback` and `trace`."""
+
+    def __init__(self, start: SElement, labels: tuple[int, ...]):
+        check_base_group(start)
+        self.ed = PathEditor(GAMMA_1, start, labels)
+        if sum(1 if g > 0 else -1 for g in labels) != 0:
+            raise ValueError("path has nonzero exponent sum")
         self.cases: Counter[str] = Counter()
         self.fallback = False
+        self.trace: list[int] = []
 
     def _insert_partner(
         self, pos: int, length: int, factor: tuple[int, ...], sign: int
@@ -121,10 +129,10 @@ class _Rewriter:
         self.fallback |= fellback
         self.ed.insert_round_trip(pos, (gen,) * length)
 
-    def run(self) -> list[int]:
-        """Rewrite the whole path; returns the syllable-count trace."""
+    def run(self) -> Certificate:
+        """Rewrite the whole path into kernel-pair form; returns its certificate."""
         ed = self.ed
-        trace: list[int] = []
+        trace = self.trace
         pos = 0
         while pos < len(ed):
             rem = ed[pos:]
@@ -177,7 +185,7 @@ class _Rewriter:
                 self._insert_partner(pos + k_left + k_right, k_left - k_right, other, -sign)
             interleave_blocks(ed, pos, k_left)
             pos += 2 * k_left
-        return trace
+        return ed.certificate()
 
 
 def rewrite_to_kernel_path(
@@ -187,24 +195,16 @@ def rewrite_to_kernel_path(
 ) -> RewriteReport:
     """Rewrite a zero-sum letter path into kernel-generator pair form.
 
-    Returns a report whose certificate transforms the input path into one
-    where every consecutive letter pair has opposite signs.  The
-    certificate and the away-from-identity guarantee are re-verified,
-    against `forbidden`; a failed check clears `verified`.
-    Its editor walks the path, raising `CertificateError` on a non-letter.
+    `Rewriter(start, labels).run()`, then its check: the certificate must
+    end in kernel-pair form and replay against `forbidden`, and the
+    away-from-identity guarantee must hold; a failed check clears `verified`.
     Both minima are exact base-group distances |p_ab| + |cd|: the start passes
     `check_base_group`, and letter moves keep every original and swept vertex
     in the base group, where `distance_to_identity` reads the same.
     """
-    check_base_group(start)
-    editor = PathEditor(GAMMA_1, start, labels)
-    if sum(1 if g > 0 else -1 for g in labels) != 0:
-        raise ValueError("path has nonzero exponent sum")
-    min_original = min(len(v.p_ab) + len(v.cd) for v in editor._verts)
-    rewriter = _Rewriter(editor)
-    trace = rewriter.run()
-    cert = editor.certificate()
-
+    rewriter = Rewriter(start, labels)
+    min_original = min(len(v.p_ab) + len(v.cd) for v in rewriter.ed._verts)
+    cert = rewriter.run()
     report = RewriteReport(
         certificate=cert,
         cases=rewriter.cases,
@@ -212,7 +212,7 @@ def rewrite_to_kernel_path(
         min_original_distance=min_original,
         min_swept_distance=min_original,
         verified=is_kernel_form(cert.result),
-        syllable_counts=trace,
+        syllable_counts=rewriter.trace,
     )
     if report.verified:
         res = verify_certificate(cert, forbidden)

@@ -1,7 +1,8 @@
 """Mutation score of the certificate verifier and its JSON reader, the step
 memo, the diagram sweep, the searches' neighbour kernel and its rows, the
-forbidden region, the shell merge, the pipeline's guards and combing radius,
-the report encoder and its json fallback, and the rewriter's guards.
+forbidden region, the shell merge, the pipeline's guards, composed replay and
+combing radius, the report encoder and its json fallback, and the rewriter's
+guards.
 
     python tests/mutation_score.py
 
@@ -29,7 +30,11 @@ the rewriter's away-from-identity test or syllable-count check, drop
 open segment.  The encoder's rows break its fast path for lists of rows,
 write a dict with keys other than str item by item, or swap the empty list's
 and dict's texts, and the combing row reads an off-base pair's distance from
-the projections.
+the projections.  Five pipeline rows turn a guard's `raise` into `pass`:
+a path left after a contraction or after band elimination, a band endpoint
+in the dilated region, no detour, and no stable pair that pinches.  The
+replay row checks the composed certificate without the region; stage 1 has
+no replay of its own there, so a rewriting that sweeps into the region passes.
 """
 
 from __future__ import annotations
@@ -208,6 +213,32 @@ MUTANTS = [
      "            if on_base and v_on_base:\n",
      "            if True:\n",
      (f"{T_PIPELINE}::test_combing_radius_is_the_exact_max_min",)),
+    ("run_reduce_demo: the band-endpoint check off", PIPELINE,
+     'raise CertificateError("a band endpoint lies inside the dilated region")',
+     "pass",
+     (f"{T_PIPELINE}::test_band_endpoint_inside_the_dilated_region_is_refused",
+      "tests/test_cli.py::test_bad_input_exits_2_without_traceback"
+      "[reduce-demo-band-endpoint-in-region]")),
+    ("_innermost_stable_pair: the no-pinch check off", PIPELINE,
+     'raise CertificateError("no adjacent stable pair pinches over the kernel")',
+     "pass",
+     (f"{T_PIPELINE}::test_stable_pair_whose_interior_leaves_the_kernel_is_refused",)),
+    ("run_main_pipeline: the left-path check off", PIPELINE,
+     'raise CertificateError(f"contraction at stable level {p} left a path")',
+     "pass",
+     (f"{T_PIPELINE}::test_main_pipeline_contraction_that_leaves_a_path_is_refused",)),
+    ("run_reduce_demo: the left-path check off", PIPELINE,
+     'raise CertificateError("band elimination left a path")',
+     "pass",
+     (f"{T_PIPELINE}::test_band_elimination_that_leaves_a_path_is_refused",)),
+    ("run_reduce_demo: the missing-detour check off", PIPELINE,
+     'raise CertificateError("the dilated region separates the band endpoints")',
+     "pass",
+     (f"{T_PIPELINE}::test_band_elimination_without_a_detour_is_refused",)),
+    ("run_main_pipeline: the composed replay ignores the region", PIPELINE,
+     "res = verify_certificate(composed, region)",
+     "res = verify_certificate(composed)",
+     (f"{T_PIPELINE}::test_stage_1_is_checked_by_the_composed_replay",)),
 ]
 
 

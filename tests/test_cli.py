@@ -391,6 +391,10 @@ def test_source_has_no_asserts():
                      "label s is not a generator of gamma_1", id="pipeline-word-not-letters"),
         pytest.param(("reduce-demo", "--expr", '[["", 28, 1]]', "--start", "s a a a a a a"),
                      "not in the base group", id="reduce-demo-start-not-in-base-group"),
+        # a square at the identity has its band endpoints inside the dilated region
+        pytest.param(("reduce-demo", "--expr", '[["", 41, 1]]', "--start", "aA"),
+                     "a band endpoint lies inside the dilated region",
+                     id="reduce-demo-band-endpoint-in-region"),
         # a flag the selected mode never reads
         pytest.param(("f2p", "--word", "acAC", "--max-len", "3"),
                      "--max-len is not read with --word", id="f2p-word-max-len"),

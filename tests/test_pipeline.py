@@ -25,10 +25,11 @@ from stallings.elements import (
     scan,
     walk,
 )
-from stallings.homotopy import Certificate, CertificateError, verify_certificate
+from stallings.homotopy import Certificate, CertificateError, PathEditor, verify_certificate
 from stallings.pipeline import (
     DEFAULT_REGION,
     PipelineReport,
+    _innermost_stable_pair,
     base_exclusion_radius,
     combing_radius,
     compose_certificates,
@@ -41,6 +42,7 @@ from stallings.pipeline import (
     run_reduce_batch,
     run_reduce_demo,
 )
+from stallings.words import AB_GENS, S_ID, TOKEN_GENS
 
 X = get_complex("x")
 GAMMA_K = get_complex("gamma_k")
@@ -150,6 +152,59 @@ def test_main_pipeline_preconditions():
     loop = parse_gens("ABAbabCDCdcdBABabaDCDcdc")
     with pytest.raises(ValueError, match="max_level must be nonnegative, got -1"):
         run_main_pipeline(s_from_word("abacdc"), loop, max_level=-1)
+
+
+def test_main_pipeline_replays_once_per_level_tried(monkeypatch):
+    """The composed replay is the run's one check: stage 1 is built, not
+    replayed on its own through the rewrite module."""
+    import stallings.pipeline as pipeline
+    import stallings.rewrite as rewrite
+
+    replayed = []
+
+    def counting(cert, forbidden=frozenset()):
+        replayed.append(cert)
+        return verify_certificate(cert, forbidden)
+
+    def refused(cert, forbidden=frozenset()):
+        raise AssertionError("stage 1 replayed on its own")
+
+    monkeypatch.setattr(pipeline, "verify_certificate", counting)
+    monkeypatch.setattr(rewrite, "verify_certificate", refused)
+    deep = commutator((-1, -2, -1, 2, 1, 2), (-3, -4, -3, 4, 3, 4))
+    for base, loop, levels in ((scan((1, 1, 1)), (1, 3, -1, -3), 1),
+                               (scan((1, 2, 1, 3, 4, 3)), deep, 2)):
+        replayed.clear()
+        report = run_main_pipeline(base, loop)
+        assert report.verified
+        assert report.summary["levels_tried"] == levels == len(replayed)
+        assert replayed[-1] is report.certificate
+
+
+def test_stage_1_is_checked_by_the_composed_replay(monkeypatch):
+    """A rewriting turned toward the identity, as in
+    `test_rewrite_that_sweeps_toward_the_identity_is_not_verified`, sweeps
+    into the region during stage 1, and the composed replay refuses every
+    level."""
+    import stallings.rewrite as rewrite
+
+    start, loop = s_from_word("BCdc"), parse_gens("bbcdBBDC")
+    assert run_main_pipeline(start, loop).verified
+    away = rewrite._away_letter
+
+    def toward(v, factor, sign):
+        # the base the projection ends in, so repeated appends can cancel
+        proj = v.p_ab if factor is AB_GENS else v.cd
+        return (sign * abs(TOKEN_GENS[proj[-1]]), False) if proj else away(v, factor, sign)
+
+    monkeypatch.setattr(rewrite, "_away_letter", toward)
+    report = run_main_pipeline(start, loop)
+    summary = report.summary
+    assert not report.verified
+    assert summary["failure_reason"] == "move 2 sweeps into forbidden region"
+    assert len(report.stages[0][1].moves) > 2  # move 2 is a rewrite move
+    assert summary["stable_level"] is None
+    assert summary["levels_tried"] == 9
 
 
 def test_main_pipeline_report_json():
@@ -378,6 +433,43 @@ def test_reduce_demo_checks_its_eliminations_against_the_bands(monkeypatch):
     monkeypatch.setattr(pipeline, "band_invariants", one_band_more)
     with pytest.raises(CertificateError, match="eliminations do not match the diagram's bands"):
         run_reduce_demo(factors)
+
+
+def test_band_endpoint_inside_the_dilated_region_is_refused():
+    # a square at the identity: its band endpoints lie within the dilated ball
+    with pytest.raises(CertificateError, match="a band endpoint lies inside the dilated region"):
+        run_reduce_demo([ConjugateFactor((), 41, 1)], start=S_IDENTITY)
+
+
+def test_stable_pair_whose_interior_leaves_the_kernel_is_refused():
+    # s a S: the only stable pair's interior, a, is not in the kernel
+    editor = PathEditor(X, S_IDENTITY, (S_ID, 1, -S_ID))
+    with pytest.raises(CertificateError, match="no adjacent stable pair pinches over the kernel"):
+        _innermost_stable_pair(editor)
+
+
+def test_main_pipeline_contraction_that_leaves_a_path_is_refused(monkeypatch):
+    import stallings.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "contract_kernel_generator_loop", lambda *args: None)
+    with pytest.raises(CertificateError, match="contraction at stable level 0 left a path"):
+        run_main_pipeline(s_from_word("aaa"), (1, 3, -1, -3))
+
+
+def test_band_elimination_that_leaves_a_path_is_refused(monkeypatch):
+    import stallings.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "contract_kernel_generator_loop", lambda *args: None)
+    with pytest.raises(CertificateError, match="band elimination left a path"):
+        run_reduce_demo([ConjugateFactor((), 0, 1)])
+
+
+def test_band_elimination_without_a_detour_is_refused(monkeypatch):
+    import stallings.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "find_generator_path", lambda *args, **kwargs: None)
+    with pytest.raises(CertificateError, match="the dilated region separates the band endpoints"):
+        run_reduce_demo([ConjugateFactor((3,), 28, 1)])
 
 
 def _combing_radius_brute(swept, anchors):
