@@ -20,9 +20,8 @@ a search returns or keeps in a region is an `SElement`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Container, Iterable
+from functools import cached_property, lru_cache
+from typing import Callable, Container, Iterable, NamedTuple
 
 from .elements import (
     GEN_VALUES,
@@ -88,8 +87,16 @@ def _any_vertex(v: SElement) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
+@lru_cache(maxsize=None)
+def _steps(gens: tuple[int, ...]) -> dict[SElement, int]:
+    steps: dict[SElement, int] = {}
+    for gen in gens:
+        for g in (gen, -gen):
+            steps.setdefault(GEN_VALUES[g], g)
+    return steps
+
+
+class ComplexSpec(NamedTuple):
     """A named complex: generators, relator ids, vertex membership test."""
 
     name: str
@@ -97,17 +104,14 @@ class ComplexSpec:
     relator_ids: frozenset[int]
     member: Callable[[SElement], bool]
 
-    @cached_property
+    @property
     def steps(self) -> dict[SElement, int]:
         """Each distinct group value of a signed generator (gen, then -gen,
         in `gens` order), mapped to the first signed generator that has it;
         cross-factor generator words commute, so values collide.  Every
-        search steps through it, by way of `expander`."""
-        steps: dict[SElement, int] = {}
-        for gen in self.gens:
-            for g in (gen, -gen):
-                steps.setdefault(GEN_VALUES[g], g)
-        return steps
+        search steps through it, by way of `expander`; it is made once per
+        generator tuple."""
+        return _steps(self.gens)
 
 
 COMPLEXES: dict[str, ComplexSpec] = {

@@ -22,8 +22,8 @@ carry the same labels, and that every square belongs to exactly one chain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import neg
+from typing import NamedTuple
 
 from .complexes import REL_WORDS, SQUARE_REL_IDS
 from .elements import gen_to_token
@@ -40,8 +40,7 @@ class DiagramError(ValueError):
     """The expression does not assemble into a valid planar diagram."""
 
 
-@dataclass(frozen=True)
-class ConjugateFactor:
+class ConjugateFactor(NamedTuple):
     """One factor u r^sign u^-1 of a product of conjugated relators."""
 
     conjugator: tuple[int, ...]
@@ -303,8 +302,7 @@ def build_diagram(factors) -> Diagram:
 # stable-letter bands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """A chain of squares joining two boundary stable-letter edges."""
 
     entry: int
@@ -313,8 +311,7 @@ class Band:
     side: tuple[int, ...]
 
 
-@dataclass
-class BandDecomposition:
+class BandDecomposition(NamedTuple):
     """Bands sorted by entry; depths[i] counts the bands enclosing band i."""
 
     bands: list[Band]

@@ -32,9 +32,8 @@ contraction) out of single moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .complexes import ComplexSpec, REL_WORDS, get_complex
 from .elements import (
@@ -75,10 +74,12 @@ CELL_FORMS: dict[tuple[int, int, int], Labels] = {
 }
 
 # CELL_SPLITS[cell][split] = (form[:split], inverse_path(form[split:])): the side a
-# cell move reads and the path it writes; the verifier reads them from this table
+# cell move reads and the path it writes; the verifier reads them from this table.
+# The path is a prefix of inverse_path(form), the entry (rid, 1 - inv, -rot % n)
 CELL_SPLITS: dict[tuple[int, int, int], tuple[tuple[Labels, Labels], ...]] = {
-    cell: tuple((form[:i], inverse_path(form[i:])) for i in range(len(form) + 1))
-    for cell, form in CELL_FORMS.items()
+    (rid, inv, rot): tuple((form[:i], back[: len(form) - i]) for i in range(len(form) + 1))
+    for (rid, inv, rot), form in CELL_FORMS.items()
+    for back in (CELL_FORMS[rid, 1 - inv, -rot % len(form)],)
 }
 
 # RELATOR_FORMS[word] holds the encodings (rid, inv, rot) that read word
@@ -101,8 +102,7 @@ def find_cell_move(
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A recorded homotopy between two edge paths with shared endpoints."""
 
     complex_name: str
@@ -113,16 +113,19 @@ class Certificate:
     description: str = ""
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     reason: str | None
     moves_checked: int
-    swept: frozenset[SElement] = field(repr=False, default=frozenset())
+    swept: frozenset[SElement] = frozenset()
     end: SElement | None = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __repr__(self) -> str:  # without the swept vertices
+        shown = (f"{k}={v!r}" for k, v in zip(self._fields, self) if k != "swept")
+        return f"VerificationResult({', '.join(shown)})"
 
 
 def _apply_move(

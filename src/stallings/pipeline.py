@@ -28,10 +28,9 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import (
     DEFAULT_BUDGET,
@@ -79,8 +78,7 @@ DEFAULT_REGION = ForbiddenRegion(X_COMPLEX, (S_IDENTITY,), 1)
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Composed outcome of one run, with its stage certificates.
 
     `verified` is true only when the composed certificate replays cleanly

@@ -29,9 +29,8 @@ untouched.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import ForbiddenRegion, get_complex
 from .elements import (
@@ -94,8 +93,7 @@ def _away_letter(v: SElement, factor: tuple[int, ...], sign: int) -> tuple[int, 
     return sign * (factor[0] if last_base != factor[0] else factor[1]), False
 
 
-@dataclass
-class RewriteReport:
+class RewriteReport(NamedTuple):
     """Outcome of one rewriting run, with its checked certificate."""
 
     certificate: Certificate
@@ -205,23 +203,16 @@ def rewrite_to_kernel_path(
     rewriter = Rewriter(start, labels)
     min_original = min(len(v.p_ab) + len(v.cd) for v in rewriter.ed._verts)
     cert = rewriter.run()
-    report = RewriteReport(
-        certificate=cert,
-        cases=rewriter.cases,
-        fallback_partner_used=rewriter.fallback,
-        min_original_distance=min_original,
-        min_swept_distance=min_original,
-        verified=is_kernel_form(cert.result),
-        syllable_counts=rewriter.trace,
-    )
-    if report.verified:
+    min_swept = min_original
+    verified = is_kernel_form(cert.result)
+    if verified:
         res = verify_certificate(cert, forbidden)
         # a rejected certificate sweeps nothing; a verified rewriting never
         # moves toward the identity
-        swept = (len(v.p_ab) + len(v.cd) for v in res.swept)
-        report.min_swept_distance = min(swept, default=None)
-        report.verified = res.ok and report.min_swept_distance >= min_original
-    return report
+        min_swept = min((len(v.p_ab) + len(v.cd) for v in res.swept), default=None)
+        verified = res.ok and min_swept >= min_original
+    return RewriteReport(cert, rewriter.cases, rewriter.fallback, min_original, min_swept,
+                         verified, rewriter.trace)
 
 
 # ---------------------------------------------------------------------------

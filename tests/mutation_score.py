@@ -1,8 +1,8 @@
-"""Mutation score of the certificate verifier and its JSON reader, the step
-memo, the diagram sweep, the searches' neighbour kernel and its rows, the
-forbidden region, the shell merge, the pipeline's guards, composed replay and
-combing radius, the report encoder and its json fallback, and the rewriter's
-guards.
+"""Mutation score of the certificate verifier, its cell table and its JSON
+reader, the step memo, the diagram sweep and validation, the searches'
+neighbour kernel and its rows, the forbidden region, the shell merge, the
+pipeline's guards, composed replay and combing radius, the report encoder and
+its json fallback, and the rewriter's guards.
 
     python tests/mutation_score.py
 
@@ -35,6 +35,11 @@ a path left after a contraction or after band elimination, a band endpoint
 in the dilated region, no detour, and no stable pair that pinches.  The
 replay row checks the composed certificate without the region; stage 1 has
 no replay of its own there, so a rewriting that sweeps into the region passes.
+The cell-table row reads each split's path from the inverse form at `rot`
+instead of `-rot % n`.  Five diagram rows turn a `Diagram.validate` guard's
+`raise` into `pass`: the dart partition, the boundary's basepoint, the face
+chaining, the Euler count and connectivity, each reached by its own tampering
+of a built diagram.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ REWRITE = "src/stallings/rewrite.py"
 
 T_HOMOTOPY = "tests/test_homotopy.py"
 T_COMPLEXES = "tests/test_complexes.py"
+T_DIAGRAMS = "tests/test_diagrams.py"
+TAMPERED = f"{T_DIAGRAMS}::test_validate_names_each_tampering"
 EXPANDER = f"{T_COMPLEXES}::test_expander_multiplies_by_each_step_value_in_order"
 MALFORMED = f"{T_HOMOTOPY}::test_verify_rejects_malformed_certificates"
 OUTSIDE = f"{T_HOMOTOPY}::test_certificate_outside_its_complex_is_rejected"
@@ -129,6 +136,10 @@ MUTANTS = [
      "        if type(data[1]) is int and type(data[2]) is str:",
      "        if isinstance(data[1], int) and type(data[2]) is str:",
      (f"{EXACT_INTS}[true]",)),
+    ("CELL_SPLITS: the inverse form read at rot, not -rot % n", HOMOTOPY,
+     "-rot % len(form)",
+     "rot",
+     (f"{T_HOMOTOPY}::test_cell_splits_read_each_form",)),
     ("step: memo keyed by (x, abs(gen))", ELEMENTS,
      "    y = _step_memo.get((x, gen))",
      "    y = _step_memo.get((x, abs(gen)))",
@@ -136,7 +147,27 @@ MUTANTS = [
     ("_fold_boundary: the bigon sweep dropped", DIAGRAMS,
      "                    self._sweep_spheres()\n",
      "                    pass\n",
-     ("tests/test_diagrams.py::test_mirror_pair_collapses",)),
+     (f"{T_DIAGRAMS}::test_mirror_pair_collapses",)),
+    ("Diagram.validate: the dart-partition check off", DIAGRAMS,
+     'raise DiagramError("darts are not partitioned by the faces")',
+     "pass",
+     (f"{TAMPERED}[dropped-dart]",)),
+    ("Diagram.validate: the basepoint check off", DIAGRAMS,
+     'raise DiagramError("boundary does not start at the basepoint")',
+     "pass",
+     (f"{TAMPERED}[moved-basepoint]",)),
+    ("Diagram.validate: the chaining check off", DIAGRAMS,
+     'raise DiagramError("face darts do not chain")',
+     "pass",
+     (f"{TAMPERED}[swapped-darts]",)),
+    ("Diagram.validate: the Euler check off", DIAGRAMS,
+     'raise DiagramError("diagram is not spherical")',
+     "pass",
+     (f"{TAMPERED}[merged-vertices]",)),
+    ("Diagram.validate: the connectivity check off", DIAGRAMS,
+     'raise DiagramError("diagram is not connected")',
+     "pass",
+     (f"{TAMPERED}[torus]",)),
     ("expander: cd rows read from the ab cache", COMPLEXES,
      "ab_rows[p_ab], cd_rows[cd], tail_rows[tail]",
      "ab_rows[p_ab], ab_rows[cd], tail_rows[tail]",
@@ -178,8 +209,8 @@ MUTANTS = [
      "for v in region)",
      (f"{T_PIPELINE}::test_base_exclusion_radius_skips_vertices_off_the_base_group",)),
     ("rewrite_to_kernel_path: away-from-identity test off", REWRITE,
-     "report.verified = res.ok and report.min_swept_distance >= min_original",
-     "report.verified = res.ok",
+     "verified = res.ok and min_swept >= min_original",
+     "verified = res.ok",
      ("tests/test_rewrite.py::test_rewrite_that_sweeps_toward_the_identity_is_not_verified",)),
     ("contract_product_loop: closed-loop check off", HOMOTOPY,
      "    if editor.vertex(pos) != editor.vertex(pos + length):\n",

@@ -136,6 +136,56 @@ def test_validate_rejects_tampering():
         dia.validate()
 
 
+def _drop_a_dart(dia):
+    next(iter(dia.faces.values())).pop()
+
+
+def _move_the_basepoint(dia):
+    dia.basepoint = dia.head(dia.boundary[0])
+
+
+def _swap_two_darts(dia):
+    cyc = next(iter(dia.faces.values()))
+    cyc[0], cyc[1] = cyc[1], cyc[0]
+
+
+def _merge_two_vertices(dia):
+    # a consistent renaming keeps every face chained but loses a vertex
+    dia._merge_vertex(dia.head(dia.boundary[0]), dia.basepoint)
+
+
+def _add_a_torus(dia):
+    # one commutator square with opposite sides glued, on a vertex of its own:
+    # V - E + F is 0 for it, so the Euler count still reads a sphere
+    x, y, _, _ = REL_WORDS[0]
+    w = dia.new_vertex()
+    dx, dy = dia.new_edge(w, w, x), dia.new_edge(w, w, y)
+    fid = max(dia.faces) + 1
+    dia.faces[fid] = [dx, dy, dx ^ 1, dy ^ 1]
+    dia.face_rid[fid] = 0
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_drop_a_dart, "darts are not partitioned by the faces"),
+        (_move_the_basepoint, "boundary does not start at the basepoint"),
+        (_swap_two_darts, "face darts do not chain"),
+        (_merge_two_vertices, "diagram is not spherical"),
+        (_add_a_torus, "diagram is not connected"),
+    ],
+    ids=["dropped-dart", "moved-basepoint", "swapped-darts", "merged-vertices", "torus"],
+)
+def test_validate_names_each_tampering(tamper, message):
+    dia = build_diagram([
+        ConjugateFactor((), SQUARE_REL_IDS[0], 1),
+        ConjugateFactor((6,), SQUARE_REL_IDS[5], 1),
+    ])
+    tamper(dia)
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        dia.validate()
+
+
 def test_bad_factors_rejected():
     with pytest.raises(DiagramError):
         build_diagram([ConjugateFactor((), 99, 1)])

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -53,7 +52,8 @@ def test_relator_forms_are_all_trivial():
 
 def test_cell_forms_hold_each_canonical_encoding():
     # the oracle's own inversion and rotation give every entry, and
-    # RELATOR_FORMS reads the table backwards
+    # RELATOR_FORMS reads the table backwards: each word lists exactly the
+    # encodings that read it, in table order
     encodings = [
         (rid, inv, rot)
         for rid, rel in enumerate(REL_WORDS)
@@ -62,16 +62,23 @@ def test_cell_forms_hold_each_canonical_encoding():
     ]
     assert list(CELL_FORMS) == encodings and len(encodings) == 4 * 8 + 24 * 6 + 24 * 8
     assert all(CELL_FORMS[cell] == cell_form(*cell) for cell in encodings)
-    assert {cell: word for word, cells in RELATOR_FORMS.items() for cell in cells} == CELL_FORMS
+    readings = {}
+    for cell in encodings:
+        readings.setdefault(cell_form(*cell), []).append(cell)
+    assert {word: list(cells) for word, cells in RELATOR_FORMS.items()} == readings
 
 
 def test_cell_splits_read_each_form():
-    # every split of every form, side then the inverse of the replacement
+    # every split of every form, side then the inverse of the replacement,
+    # against the oracle's form and a reversal of its own
     assert list(CELL_SPLITS) == list(CELL_FORMS)
     for cell, form in CELL_FORMS.items():
         assert len(CELL_SPLITS[cell]) == len(form) + 1
+        oracle = cell_form(*cell)
         for split, (side, replacement) in enumerate(CELL_SPLITS[cell]):
-            assert len(side) == split
+            assert (side, replacement) == (
+                oracle[:split], tuple(-g for g in oracle[split:][::-1])
+            )
             assert side + inverse_path(replacement) == form
 
 
@@ -163,7 +170,7 @@ def test_verify_rejects_malformed_certificates():
                  ("cell", pos, rid, bool(inv), rot, split),
                  ("cell", pos, rid, [inv], rot, split),
                  ("cell", pos, rid, inv, float(rot), split)):
-        res = verify_certificate(dataclasses.replace(good, moves=(move,)))
+        res = verify_certificate(good._replace(moves=(move,)))
         assert not res.ok and res.reason == f"move 0: malformed move {move!r}"
 
     # a move of the wrong arity, or with a field that compares like an int but
@@ -467,7 +474,7 @@ def test_certificate_outside_its_complex_is_rejected(make_cert):
     assert not verify_certificate(cert, frozenset({S_IDENTITY})).ok
     assert replay_certificate(cert) == (False, reason, frozenset())
     # the same moves from the identity verify, and the oracle agrees
-    moved = dataclasses.replace(cert, start=S_IDENTITY)
+    moved = cert._replace(start=S_IDENTITY)
     res = verify_certificate(moved)
     assert res.ok and replay_certificate(moved) == (True, None, res.swept)
 
@@ -606,8 +613,8 @@ def _mutate(rng, cert):
             del labels[k]
         else:
             labels.insert(k, gen)
-        return dataclasses.replace(cert, **{what: tuple(labels)})
-    return dataclasses.replace(cert, moves=tuple(moves))
+        return cert._replace(**{what: tuple(labels)})
+    return cert._replace(moves=tuple(moves))
 
 
 def test_mutation_fuzz_agrees_with_oracle():
