@@ -15,11 +15,14 @@ is for walks: each search makes an `expander`, which multiplies projection by
 projection.  It computes a projection's row, the products of one word with
 that projection's part of each value, once per search, and zips a vertex's
 neighbours from the rows of its three projections as plain tuples; a vertex
-a search returns or keeps in a region is an `SElement`.
+a search returns or keeps in a region is an `SElement`.  The ends probe keeps
+plain tuples and returns no vertex: one labelled pass from one expander grows
+the ball to radius R, then expands layer R once more only to merge.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Callable, Container, Iterable, NamedTuple
 
@@ -345,27 +348,25 @@ def sphere_complement_components(
     several ends separates from the one-ended cases already at small radii.
 
     Components are the roots of one union-find over labels, found in one
-    pass.  After a BFS out to radius r+1, each vertex of layer r+1 gets an
-    id of its own, stored in `dist` as the label -1 - id.  The BFS then
-    grows layers r+2 .. R from there: a new vertex takes the label of the
-    vertex that found it, and an edge that meets another label attaches its
-    root to the root of the expanded vertex's label, found once per vertex.
-    So every shell edge with an inner end is seen from that end.  The edges
-    left unseen join two outer vertices (layer R, which is layer r+1 when
-    R == r + 1), so the outer vertices are expanded last, merging the labels
-    of their shell neighbours, and the pass stops once one component is
-    left: no edge can split it again.  On the one-ended complexes the inner
-    layers already leave one component, and no outer vertex is expanded.
+    breadth-first pass from the identity with one expander.  A new vertex
+    takes the label of the vertex that found it: 0 in the inner ball, and
+    -1 - id past it, where each vertex of layer r+1 gets an id of its own
+    once that layer is grown.  An edge that meets another shell label
+    attaches its root to the root of the expanded vertex's label, found once
+    per vertex, so every shell edge with an inner end is seen from that end.
+    The edges left unseen join two outer vertices (layer R, which is layer
+    r+1 when R == r + 1), so the pass expands them as one more layer, R+1,
+    that adds no vertex, and stops once one component is left: no edge can
+    split it again.  On the one-ended complexes the inner layers already
+    leave one component, and no outer vertex is expanded.
     """
     if not 0 <= r < R:
         raise ValueError(f"need 0 <= r < R, got r={r}, R={R}")
-    dist = ball(spec, r + 1, budget=budget)
     expand = expander(spec)
-    frontier = [v for v, d in dist.items() if d == r + 1]
-    for i, v in enumerate(frontier):
-        dist[v] = -1 - i
-    parent = list(range(len(frontier)))  # union-find over ids
-    sizes = [1] * len(frontier)  # vertices labelled by each id
+    start = tuple(S_IDENTITY)
+    dist = {start: 0}
+    frontier = [start]
+    parent: list[int] = []  # union-find over ids
     merges = 0
 
     def find(i: int) -> int:
@@ -373,43 +374,38 @@ def sphere_complement_components(
             parent[i] = i = parent[parent[i]]
         return i
 
-    for _ in range(r + 2, R + 1):
-        next_frontier: list[tuple[str, str, str]] = []
-        for v in frontier:
+    for layer in range(1, R + 2):
+        unseen = None if layer <= R else 0  # layer R+1 adds no vertex: one unseen reads as inner
+        expanded, frontier = frontier, []
+        for v in expanded:
+            if layer > R and len(parent) - merges <= 1:
+                break
             label = dist[v]
-            root = find(-1 - label)  # only attached to, and path halving never moves a root
+            root = label and find(-1 - label)  # 0 inside; only attached to, never moved
             for w in expand(v):
-                dw = dist.get(w)
+                dw = dist.get(w, unseen)
                 if dw is None:
                     if len(dist) >= budget:
+                        radius = r + 1 if layer <= r + 1 else R
                         raise SearchBudgetExceeded(
-                            f"{spec.name}: radius-{R} search exceeded {budget} vertices"
+                            f"{spec.name}: radius-{radius} search exceeded {budget} vertices"
                         )
                     dist[w] = label
-                    sizes[-1 - label] += 1
-                    next_frontier.append(w)
+                    frontier.append(w)
                 elif dw < 0 and parent[-1 - dw] != root:
                     j = find(-1 - dw)
                     if j != root:
                         parent[j] = root
                         merges += 1
-        frontier = next_frontier
-    outer = frontier
-    for v in outer:
-        if len(parent) - merges <= 1:
-            break
-        root = find(-1 - dist[v])
-        for w in expand(v):
-            dw = dist.get(w, 0)
-            if dw < 0 and parent[-1 - dw] != root:
-                j = find(-1 - dw)
-                if j != root:
-                    parent[j] = root
-                    merges += 1
+        if layer == r + 1:
+            for i, w in enumerate(frontier):
+                dist[w] = -1 - i
+            parent.extend(range(len(frontier)))
     roots = [find(i) for i in range(len(parent))]
     root_sizes = dict.fromkeys(roots, 0)
-    for root, size in zip(roots, sizes):
-        root_sizes[root] += size
+    for label, size in Counter(dist.values()).items():
+        if label < 0:
+            root_sizes[roots[-1 - label]] += size
     component_sizes = sorted(root_sizes.values(), reverse=True)
     return {
         "complex": spec.name,
@@ -418,7 +414,7 @@ def sphere_complement_components(
         "ball_size": len(dist),
         "shell_size": sum(component_sizes),
         "components": len(component_sizes),
-        "essential_components": len({roots[-1 - dist[v]] for v in outer}),
+        "essential_components": len({roots[-1 - dist[v]] for v in expanded}),  # layer R
         "component_sizes": component_sizes,
     }
 

@@ -1,8 +1,8 @@
 """Mutation score of the certificate verifier, its cell table and its JSON
-reader, the step memo, the diagram sweep and validation, the searches'
-neighbour kernel and its rows, the forbidden region, the shell merge, the
-pipeline's guards, composed replay and combing radius, the report encoder and
-its json fallback, and the rewriter's guards.
+reader, the step memo, the diagram sweep, validation and band extraction, the
+searches' neighbour kernel and its rows, the forbidden region, the shell
+merge, the pipeline's guards, composed replay and combing radius, the report
+encoder and its json fallback, and the rewriter's guards.
 
     python tests/mutation_score.py
 
@@ -20,12 +20,12 @@ with `test_`.  A row is added for each check the verifier gains; a row that
 survives is a gap in the tests, not a row to delete.  The search kernel's
 rows mix up its three projections, write a row's products out of value
 order, multiply a part once per value that has it, or let `neighborhood`
-keep the expander's plain tuples.  The shell merge's rows drop the attach of one
-root to another in the layer pass or in the outer pass, or let the outer
-pass expand outer vertices after one component is left.  The region's
-rows let its attributes be assigned or build `dilated` no wider than the
-region; the others count off-base vertices in `base_exclusion_radius`, drop
-the rewriter's away-from-identity test or syllable-count check, drop
+keep the expander's plain tuples.  The shell merge's rows drop the one
+attach of a root to another, let layer R+1 insert vertices, or let it expand
+outer vertices after one component is left.  The region's rows let its
+attributes be assigned or build `dilated` no wider than the region; the
+others count off-base vertices in `base_exclusion_radius`, drop the
+rewriter's away-from-identity test or syllable-count check, drop
 `run_reduce_demo`'s band-count check, or let `contract_product_loop` take an
 open segment.  The encoder's rows break its fast path for lists of rows,
 write a dict with keys other than str item by item, or swap the empty list's
@@ -39,7 +39,11 @@ The cell-table row reads each split's path from the inverse form at `rot`
 instead of `-rot % n`.  Five diagram rows turn a `Diagram.validate` guard's
 `raise` into `pass`: the dart partition, the boundary's basepoint, the face
 chaining, the Euler count and connectivity, each reached by its own tampering
-of a built diagram.
+of a built diagram.  Seven more do the same to the guards of `extract_bands`,
+each reached by a tampering of a two-band diagram: a square retagged as a
+triangle, a second band pointed at the first band's square, a square with five
+darts, a flipped side edge, a square left by the dart it was entered by, a
+flipped stable boundary edge and two bands made to cross.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ T_HOMOTOPY = "tests/test_homotopy.py"
 T_COMPLEXES = "tests/test_complexes.py"
 T_DIAGRAMS = "tests/test_diagrams.py"
 TAMPERED = f"{T_DIAGRAMS}::test_validate_names_each_tampering"
+BANDS = f"{T_DIAGRAMS}::test_extract_bands_names_each_tampering"
 EXPANDER = f"{T_COMPLEXES}::test_expander_multiplies_by_each_step_value_in_order"
 MALFORMED = f"{T_HOMOTOPY}::test_verify_rejects_malformed_certificates"
 OUTSIDE = f"{T_HOMOTOPY}::test_certificate_outside_its_complex_is_rejected"
@@ -168,6 +173,34 @@ MUTANTS = [
      'raise DiagramError("diagram is not connected")',
      "pass",
      (f"{TAMPERED}[torus]",)),
+    ("extract_bands: the non-square check off", DIAGRAMS,
+     'raise DiagramError("stable edge borders a non-square face")',
+     "pass",
+     (f"{BANDS}[triangle]",)),
+    ("extract_bands: the shared-square check off", DIAGRAMS,
+     'raise DiagramError("square shared between bands")',
+     "pass",
+     (f"{BANDS}[shared-square]",)),
+    ("extract_bands: the square-shape check off", DIAGRAMS,
+     'raise DiagramError("square face is malformed")',
+     "pass",
+     (f"{BANDS}[five-darts]",)),
+    ("extract_bands: the sides check off", DIAGRAMS,
+     'raise DiagramError("band sides disagree")',
+     "pass",
+     (f"{BANDS}[flipped-side]",)),
+    ("extract_bands: the pairing check off", DIAGRAMS,
+     'raise DiagramError("inconsistent band pairing")',
+     "pass",
+     (f"{BANDS}[repeated-entry]",)),
+    ("extract_bands: the orientation check off", DIAGRAMS,
+     'raise DiagramError("band endpoints have equal orientation")',
+     "pass",
+     (f"{BANDS}[flipped-endpoint]",)),
+    ("extract_bands: the crossing check off", DIAGRAMS,
+     'raise DiagramError("bands cross")',
+     "pass",
+     (f"{BANDS}[crossed]",)),
     ("expander: cd rows read from the ab cache", COMPLEXES,
      "ab_rows[p_ab], cd_rows[cd], tail_rows[tail]",
      "ab_rows[p_ab], ab_rows[cd], tail_rows[tail]",
@@ -180,21 +213,21 @@ MUTANTS = [
      "for part in dict.fromkeys(self.parts)}",
      "for part in self.parts}",
      (f"{T_COMPLEXES}::test_expander_multiplies_each_distinct_part_once",)),
-    ("sphere_complement_components: the layer pass's attach dropped", COMPLEXES,
+    ("sphere_complement_components: the attach dropped", COMPLEXES,
      "\n                        parent[j] = root\n",
      "\n                        pass\n",
      (f"{T_COMPLEXES}::test_shell_components_agree_with_oracle",)),
-    ("sphere_complement_components: the outer pass's attach dropped", COMPLEXES,
-     "\n                    parent[j] = root\n",
-     "\n                    pass\n",
+    ("sphere_complement_components: layer R+1 inserts vertices", COMPLEXES,
+     "unseen = None if layer <= R else 0",
+     "unseen = None",
      (f"{T_COMPLEXES}::test_shell_components_agree_with_oracle",)),
     ("neighborhood: the expander's plain tuple inserted", COMPLEXES,
      "                    w = _new_s(SElement, w)\n",
      "",
      (f"{T_COMPLEXES}::test_searches_return_and_keep_selements",)),
-    ("sphere_complement_components: outer-pass stop weakened", COMPLEXES,
-     "        if len(parent) - merges <= 1:",
-     "        if len(parent) - merges <= 0:",
+    ("sphere_complement_components: layer R+1's stop weakened", COMPLEXES,
+     "if layer > R and len(parent) - merges <= 1:",
+     "if layer > R and len(parent) - merges <= 0:",
      (f"{T_COMPLEXES}::test_one_ended_shell_expands_no_outer_vertex",)),
     ("ForbiddenRegion: attribute assignment allowed", COMPLEXES,
      "    __setattr__ = __delattr__ = _refuse\n",

@@ -342,7 +342,8 @@ def test_shell_components_agree_with_oracle(name):
 
 def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
     # the inner layers of gamma_k already leave one component, so the only
-    # expansions are the one pass's (each vertex below R once), and none of an
+    # expansions are the one pass's (each vertex below R once, all by one
+    # expander, so the inner ball's rows are made once), and none of an
     # outer vertex
     import stallings.complexes as complexes
 
@@ -350,14 +351,17 @@ def test_one_ended_shell_expands_no_outer_vertex(monkeypatch):
     dist = ball(spec, 3)
     sizes = sphere_sizes(dist)
     expanded = []
+    made = []
 
     def counting_expander(spec):
         expand = expander(spec)
+        made.append(spec)
         return lambda v: expanded.append(v) or expand(v)
 
     monkeypatch.setattr(complexes, "expander", counting_expander)
     rep = sphere_complement_components(spec, 1, 3)
     assert rep["components"] == 1
+    assert made == [spec]
     assert len(expanded) == len(set(expanded)) == sum(sizes[:3])
     assert all(dist[v] < 3 for v in expanded)
 

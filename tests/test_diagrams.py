@@ -186,6 +186,71 @@ def test_validate_names_each_tampering(tamper, message):
         dia.validate()
 
 
+def _flip(dia, d):
+    dia.label[d], dia.label[d ^ 1] = dia.label[d ^ 1], dia.label[d]
+
+
+def _retag_a_square(dia):
+    dia.face_rid[0] = TRIANGLE_REL_IDS[0]
+
+
+def _point_the_second_band_at_the_first_square(dia):
+    dia.face_of[dia.boundary[4] ^ 1] = 0
+
+
+def _give_a_square_five_darts(dia):
+    dia.faces[0].append(dia.faces[0][0])
+
+
+def _flip_a_side_edge(dia):
+    _flip(dia, dia.boundary[1])  # e1, whose twin is a side of the first square
+
+
+def _repeat_the_entry_in_its_square(dia):
+    # the chain leaves the square by the dart it entered by, so the band
+    # ends where it starts
+    cyc = dia.faces[0]
+    t = dia.boundary[0] ^ 1
+    cyc[(cyc.index(t) + 2) % 4] = t
+
+
+def _flip_a_stable_boundary_edge(dia):
+    _flip(dia, dia.boundary[0])
+
+
+def _cross_the_bands(dia):
+    dia.boundary[2], dia.boundary[4] = dia.boundary[4], dia.boundary[2]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_retag_a_square, "stable edge borders a non-square face"),
+        (_point_the_second_band_at_the_first_square, "square shared between bands"),
+        (_give_a_square_five_darts, "square face is malformed"),
+        (_flip_a_side_edge, "band sides disagree"),
+        (_repeat_the_entry_in_its_square, "inconsistent band pairing"),
+        (_flip_a_stable_boundary_edge, "band endpoints have equal orientation"),
+        (_cross_the_bands, "bands cross"),
+    ],
+    ids=["triangle", "shared-square", "five-darts", "flipped-side", "repeated-entry",
+         "flipped-endpoint", "crossed"],
+)
+def test_extract_bands_names_each_tampering(tamper, message):
+    # two squares side by side, s e1 S E1 s e6 S E6: two bands of one square
+    # each, at boundary positions (0, 2) and (4, 6)
+    dia = build_diagram([
+        ConjugateFactor((), SQUARE_REL_IDS[0], 1),
+        ConjugateFactor((), SQUARE_REL_IDS[5], 1),
+    ])
+    assert [(b.entry, b.exit, b.faces) for b in extract_bands(dia).bands] == [
+        (0, 2, (0,)), (4, 6, (1,))
+    ]
+    tamper(dia)
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        extract_bands(dia)
+
+
 def test_bad_factors_rejected():
     with pytest.raises(DiagramError):
         build_diagram([ConjugateFactor((), 99, 1)])
