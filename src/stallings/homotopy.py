@@ -130,7 +130,7 @@ class VerificationResult(NamedTuple):
 
 def _apply_move(
     spec: ComplexSpec, labels: list[int], verts: list[SElement], move: Move
-) -> list[SElement]:
+) -> Sequence[SElement]:
     """Apply one move in place; returns the vertices the move creates.
 
     Raises CertificateError when the move does not match the labels or
@@ -148,10 +148,11 @@ def _apply_move(
             raise CertificateError(f"insert position {pos} out of range")
         if abs(gen) not in spec.gens:
             raise CertificateError(f"generator {gen} is not in {spec.name}")
-        new = step(verts[pos], gen)
-        labels[pos:pos] = [gen, -gen]
-        verts[pos + 1 : pos + 1] = [new, verts[pos]]
-        return [new]
+        v = verts[pos]
+        new = step(v, gen)
+        labels[pos:pos] = (gen, -gen)
+        verts[pos + 1 : pos + 1] = (new, v)
+        return (new,)
     if kind == "del":
         _, pos = move
         if not 0 <= pos < len(labels) - 1:
@@ -160,7 +161,7 @@ def _apply_move(
             raise CertificateError(f"labels at {pos} are not a backtrack")
         del labels[pos : pos + 2]
         del verts[pos + 1 : pos + 3]
-        return []
+        return ()
     if kind == "cell":
         _, pos, rid, inv, rot, split = move
         if not type(rid) is type(inv) is type(rot) is int:
@@ -206,7 +207,9 @@ def verify_certificate(
     """
     spec = get_complex(cert.complex_name)
     start = cert.start
-    if not (type(start) is SElement and set(map(type, start)) == {str}
+    # tuple.__new__ can give an SElement another length, so it is checked too
+    if not (type(start) is SElement and len(start) == 3
+            and type(start[0]) is type(start[1]) is type(start[2]) is str
             and _is_normal_form(start) and spec.member(start)):
         return VerificationResult(False, f"start is not a vertex of {spec.name}", 0)
     labels = list(cert.path)
@@ -215,17 +218,19 @@ def verify_certificate(
             return VerificationResult(False, f"path label {i} is not a generator", 0)
     verts = walk(start, labels)
     swept = set(verts)
-    if any(v in forbidden for v in verts):
-        return VerificationResult(False, "initial path enters forbidden region", 0)
+    for v in verts:
+        if v in forbidden:
+            return VerificationResult(False, "initial path enters forbidden region", 0)
     end = verts[-1]
     for mi, move in enumerate(cert.moves):
         try:
             created = _apply_move(spec, labels, verts, move)
         except CertificateError as exc:
             return VerificationResult(False, f"move {mi}: {exc}", mi)
-        swept.update(created)
-        if any(v in forbidden for v in created):
-            return VerificationResult(False, f"move {mi} sweeps into forbidden region", mi)
+        for v in created:
+            if v in forbidden:
+                return VerificationResult(False, f"move {mi} sweeps into forbidden region", mi)
+            swept.add(v)
     # labels hold ints only, so a result entry like 1.0 or True must not compare equal
     if tuple(labels) != cert.result or not all(type(g) is int for g in cert.result):
         return VerificationResult(

@@ -28,7 +28,6 @@ untouched.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -115,7 +114,7 @@ class Rewriter:
         self.ed = PathEditor(GAMMA_1, start, labels)
         if sum(1 if g > 0 else -1 for g in labels) != 0:
             raise ValueError("path has nonzero exponent sum")
-        self.cases: Counter[str] = Counter()
+        self.cases: dict[str, int] = {}
         self.fallback = False
         self.trace: list[int] = []
 
@@ -131,6 +130,7 @@ class Rewriter:
         """Rewrite the whole path into kernel-pair form; returns its certificate."""
         ed = self.ed
         trace = self.trace
+        cases = self.cases
         pos = 0
         while pos < len(ed):
             rem = ed[pos:]
@@ -152,37 +152,38 @@ class Rewriter:
             # the inverted partner block, k1 letters of `other` with sign,
             # now sits at pos, in front of the second syllable
             if factor2 is other and sign2 == sign:
-                self.cases["1"] += 1  # merges with the partner block
-                continue
-            if factor2 is factor:
+                case = "1"  # merges with the partner block
+            elif factor2 is factor:
                 if k2 >= k1:
-                    self.cases["2"] += 1
+                    case = "2"
                 else:
-                    self.cases["3"] += 1
+                    case = "3"
                     self._insert_partner(pos + k1 + k2, k1 - k2, factor, -sign)
                 interleave_blocks(ed, pos, k1)
                 pos += 2 * k1
-                continue
-            # case 4: the second syllable has the partner's factor and sign;
-            # cancel the seam between the inverted partner and the syllable
-            q = 0
-            while q < min(k1, k2) and ed[pos + k1 - q] == -ed[pos + k1 - q - 1]:
-                ed.delete_backtrack(pos + k1 - q - 1)
-                q += 1
-            k_left, k_right = k1 - q, k2 - q
-            if k_left == 0 or k_right == 0:
-                self.cases["4.1"] += 1
-                continue
-            self._insert_partner(pos + k_left, k_left, factor, -sign)
-            interleave_blocks(ed, pos, k_left)
-            pos += 2 * k_left
-            if k_right >= k_left:
-                self.cases["4.2"] += 1
             else:
-                self.cases["4.3"] += 1
-                self._insert_partner(pos + k_left + k_right, k_left - k_right, other, -sign)
-            interleave_blocks(ed, pos, k_left)
-            pos += 2 * k_left
+                # case 4: the second syllable has the partner's factor and sign;
+                # cancel the seam between the inverted partner and the syllable
+                q = 0
+                while q < min(k1, k2) and ed[pos + k1 - q] == -ed[pos + k1 - q - 1]:
+                    ed.delete_backtrack(pos + k1 - q - 1)
+                    q += 1
+                k_left, k_right = k1 - q, k2 - q
+                if k_left == 0 or k_right == 0:
+                    case = "4.1"
+                else:
+                    self._insert_partner(pos + k_left, k_left, factor, -sign)
+                    interleave_blocks(ed, pos, k_left)
+                    pos += 2 * k_left
+                    if k_right >= k_left:
+                        case = "4.2"
+                    else:
+                        case = "4.3"
+                        self._insert_partner(pos + k_left + k_right, k_left - k_right,
+                                             other, -sign)
+                    interleave_blocks(ed, pos, k_left)
+                    pos += 2 * k_left
+            cases[case] = cases.get(case, 0) + 1
         return ed.certificate()
 
 
@@ -274,7 +275,7 @@ def run_rewrite_suite(
     if bases is None:
         bases = transversal_bases()
     region = frozenset() if m is None else ForbiddenRegion(GAMMA_1, (S_IDENTITY,), m)
-    cases: Counter[str] = Counter()
+    cases: dict[str, int] = {}
     runs = 0
     verified = 0
     skipped = 0
@@ -290,7 +291,8 @@ def run_rewrite_suite(
             verified += report.verified
             fallback_runs += report.fallback_partner_used
             max_moves = max(max_moves, len(report.certificate.moves))
-            cases.update(report.cases)
+            for case, count in report.cases.items():
+                cases[case] = cases.get(case, 0) + count
     return {
         "bases": len(bases),
         # zero-sum words of length 2j: j positive positions, four letters at each

@@ -7,20 +7,26 @@ encoder and its json fallback, and the rewriter's guards.
     python tests/mutation_score.py
 
 Each row of `MUTANTS` is (name, file, old text, new text, pytest selection):
-a one-line edit that switches off or weakens one check.  The script copies
-`src/`, `tests/` and `pyproject.toml` into a temporary directory and checks
-that the unmutated selections pass.  Then, for each row, it checks that the
-old text occurs exactly once in the file, applies the edit, runs
-`python -m pytest -q -x -p no:cacheprovider <selection>` and restores the
-file.  A nonzero exit (or a run past `TIMEOUT`) kills the mutant.  It prints
-one line per row and `killed k/n`, and exits 1 if any row survives.
+a one-line edit that switches off or weakens one check.  The script checks
+that each row's old text occurs exactly once in its file, copies `src/`,
+`tests/` and `pyproject.toml` into `WORKERS` temporary directories and
+checks that the unmutated selections pass in one of them.  Then `WORKERS`
+threads take the rows in turn, each with a copy of its own: a thread applies
+the edit, runs `python -m pytest -q -x -p no:cacheprovider <selection>` and
+restores the file.  A nonzero exit (or a run past `TIMEOUT`) kills the
+mutant.  It prints one line per row, in table order, and `killed k/n`, and
+exits 1 if any row survives.
 
 Stdlib only.  pytest does not collect this file: its name does not start
 with `test_`.  A row is added for each check the verifier gains; a row that
-survives is a gap in the tests, not a row to delete.  The search kernel's
-rows mix up its three projections, write a row's products out of value
-order, multiply a part once per value that has it, or let `neighborhood`
-keep the expander's plain tuples.  The shell merge's rows drop the one
+survives is a gap in the tests, not a row to delete.  Besides switching off
+its checks, the verifier's rows leave a created vertex out of the swept set
+and drop the start's length test or its third field's str test.  The
+rewriter's case counts have two rows: the suite's total replaced by one
+word's counts, and each case counted at most once per rewrite.  The search
+kernel's rows mix up its three projections, write a row's products out of
+value order, multiply a part once per value that has it, or let
+`neighborhood` keep the expander's plain tuples.  The shell merge's rows drop the one
 attach of a root to another, let layer R+1 insert vertices, or let it expand
 outer vertices after one component is left.  The region's rows let its
 attributes be assigned or build `dilated` no wider than the region; the
@@ -39,25 +45,31 @@ The cell-table row reads each split's path from the inverse form at `rot`
 instead of `-rot % n`.  Five diagram rows turn a `Diagram.validate` guard's
 `raise` into `pass`: the dart partition, the boundary's basepoint, the face
 chaining, the Euler count and connectivity, each reached by its own tampering
-of a built diagram.  Seven more do the same to the guards of `extract_bands`,
-each reached by a tampering of a two-band diagram: a square retagged as a
-triangle, a second band pointed at the first band's square, a square with five
-darts, a flipped side edge, a square left by the dart it was entered by, a
-flipped stable boundary edge and two bands made to cross.
+of a built diagram.  Three do the same to the builder's guards: a spur whose
+tip holds a second edge, a face whose edges were deleted (swept while its
+twins stay), and a boundary left unfolded.  Seven more do the same to the
+guards of `extract_bands`, each reached by a tampering of a two-band diagram:
+a square retagged as a triangle, a second band pointed at the first band's
+square, a square with five darts, a flipped side edge, a square left by the
+dart it was entered by, a flipped stable boundary edge and two bands made to
+cross.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 300  # seconds per pytest run
+WORKERS = 2  # pytest runs at a time, each in its own copy
 
 HOMOTOPY = "src/stallings/homotopy.py"
 ELEMENTS = "src/stallings/elements.py"
@@ -101,13 +113,17 @@ MUTANTS = [
      "            ):",
      (MALFORMED,)),
     ("verify_certificate: created-vertex forbidden test off", HOMOTOPY,
-     "        if any(v in forbidden for v in created):",
-     "        if False:",
+     "        for v in created:\n            if v in forbidden:",
+     "        for v in created:\n            if False:",
      (f"{T_HOMOTOPY}::test_every_swept_vertex_is_guarded",)),
     ("verify_certificate: initial-path forbidden test off", HOMOTOPY,
-     "    if any(v in forbidden for v in verts):",
-     "    if False:",
+     "    for v in verts:\n        if v in forbidden:",
+     "    for v in verts:\n        if False:",
      (f"{T_HOMOTOPY}::test_every_swept_vertex_is_guarded",)),
+    ("verify_certificate: created vertices left out of swept", HOMOTOPY,
+     "            swept.add(v)\n",
+     "",
+     (f"{T_HOMOTOPY}::test_inserted_vertex_is_swept_and_guarded",)),
     ("verify_certificate: result comparison off", HOMOTOPY,
      "    if tuple(labels) != cert.result or not all(type(g) is int for g in cert.result):",
      "    if False:",
@@ -120,6 +136,14 @@ MUTANTS = [
      "            and _is_normal_form(start) and spec.member(start)):",
      "            and spec.member(start)):",
      (OUTSIDE,)),
+    ("verify_certificate: the start's third-field str test dropped", HOMOTOPY,
+     "type(start[0]) is type(start[1]) is type(start[2]) is str",
+     "type(start[0]) is type(start[1]) is str",
+     (MALFORMED,)),
+    ("verify_certificate: the start's length test dropped", HOMOTOPY,
+     "type(start) is SElement and len(start) == 3\n",
+     "type(start) is SElement\n",
+     (MALFORMED,)),
     ("verify_certificate: spec.member(start) off", HOMOTOPY,
      "            and _is_normal_form(start) and spec.member(start)):",
      "            and _is_normal_form(start)):",
@@ -153,6 +177,18 @@ MUTANTS = [
      "                    self._sweep_spheres()\n",
      "                    pass\n",
      (f"{T_DIAGRAMS}::test_mirror_pair_collapses",)),
+    ("_fold_boundary: the spur-tip check off", DIAGRAMS,
+     'raise DiagramError("spur tip is not a leaf")',
+     "pass",
+     (f"{T_DIAGRAMS}::test_fold_refuses_a_spur_whose_tip_is_not_a_leaf",)),
+    ("_sweep_spheres: the shared-edge check off", DIAGRAMS,
+     'raise DiagramError("sphere shares an edge with the disk")',
+     "pass",
+     (f"{T_DIAGRAMS}::test_sweep_refuses_a_sphere_that_shares_an_edge_with_the_disk",)),
+    ("build_diagram: the boundary-word check off", DIAGRAMS,
+     'raise DiagramError("boundary does not spell the reduced expression")',
+     "pass",
+     (f"{T_DIAGRAMS}::test_unfolded_boundary_does_not_spell_the_reduced_expression",)),
     ("Diagram.validate: the dart-partition check off", DIAGRAMS,
      'raise DiagramError("darts are not partitioned by the faces")',
      "pass",
@@ -249,6 +285,14 @@ MUTANTS = [
      "    if editor.vertex(pos) != editor.vertex(pos + length):\n",
      "    if False:\n",
      (f"{T_HOMOTOPY}::test_contract_rejects_open_paths",)),
+    ("run_rewrite_suite: a word's case counts replace the total", REWRITE,
+     "cases[case] = cases.get(case, 0) + count",
+     "cases[case] = count",
+     ("tests/test_rewrite.py::test_suite_cases_are_the_sum_of_its_rewrites_cases",)),
+    ("Rewriter: each case counted at most once per rewrite", REWRITE,
+     "cases[case] = cases.get(case, 0) + 1",
+     "cases[case] = 1",
+     ("tests/test_rewrite.py::test_frozen_small_rewrites",)),
     ("rewriter: the syllable-count check off", REWRITE,
      "            if len(trace) >= 2 and trace[-1] >= trace[-2]:\n",
      "            if False:\n",
@@ -320,33 +364,54 @@ def run_pytest(workdir: Path, selection) -> tuple[bool, str]:
     return proc.returncode == 0, f"pytest exit {proc.returncode}"
 
 
+def copy_tree(workdir: Path) -> Path:
+    """A copy of `src/`, `tests/` and `pyproject.toml` at workdir."""
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, workdir / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", workdir)
+    return workdir
+
+
+def run_mutant(copies: queue.SimpleQueue, row) -> tuple[bool, str]:
+    """Apply one row's edit in a free copy, run its selection and restore the file."""
+    _, file, old, new, selection = row
+    workdir = copies.get()
+    try:
+        path = workdir / file
+        text = path.read_text()
+        path.write_text(text.replace(old, new))
+        try:
+            return run_pytest(workdir, selection)
+        finally:
+            path.write_text(text)
+    finally:
+        copies.put(workdir)
+
+
 def main() -> int:
     t0 = time.monotonic()
+    for name, file, old, _, _ in MUTANTS:
+        count = (ROOT / file).read_text().count(old)
+        if count != 1:
+            print(f"{name}: the old text occurs {count} times in {file}")
+            return 2
     with tempfile.TemporaryDirectory(prefix="mutation-score-") as tmp:
-        workdir = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, workdir / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", workdir)
+        copies: queue.SimpleQueue = queue.SimpleQueue()
+        for i in range(WORKERS):
+            copies.put(copy_tree(Path(tmp) / str(i)))
         selections = list(dict.fromkeys(t for row in MUTANTS for t in row[4]))
-        passed, note = run_pytest(workdir, selections)
+        passed, note = run_pytest(Path(tmp) / "0", selections)
         if not passed:
             print(f"the unmutated selections fail ({note}); no score")
             return 2
         killed = 0
-        for name, file, old, new, selection in MUTANTS:
-            path = workdir / file
-            text = path.read_text()
-            if text.count(old) != 1:
-                print(f"{name}: the old text occurs {text.count(old)} times in {file}")
-                return 2
-            path.write_text(text.replace(old, new))
-            try:
-                passed, note = run_pytest(workdir, selection)
-            finally:
-                path.write_text(text)
-            killed += not passed
-            print(f"{'SURVIVED' if passed else 'killed  '}  {name}  ({note})", flush=True)
+        with ThreadPoolExecutor(WORKERS) as pool:
+            # map yields in table order, each result as soon as its row is done
+            for (name, *_), (passed, note) in zip(
+                MUTANTS, pool.map(lambda row: run_mutant(copies, row), MUTANTS)
+            ):
+                killed += not passed
+                print(f"{'SURVIVED' if passed else 'killed  '}  {name}  ({note})", flush=True)
     print(f"killed {killed}/{len(MUTANTS)} in {time.monotonic() - t0:.0f} s")
     return 0 if killed == len(MUTANTS) else 1
 

@@ -251,6 +251,43 @@ def test_extract_bands_names_each_tampering(tamper, message):
         extract_bands(dia)
 
 
+def test_fold_refuses_a_spur_whose_tip_is_not_a_leaf():
+    # folding a built diagram never leaves an edge at a spur's tip (a sphere
+    # is swept at the fold that closes it), so the state is built by hand: a
+    # boundary that turns back along a stem whose tip holds a second edge
+    dia = Diagram()
+    tip = dia.new_vertex()
+    stem = dia.new_edge(dia.basepoint, tip, 1)
+    dia.new_edge(tip, dia.new_vertex(), 3)
+    dia.boundary = [stem, stem ^ 1]
+    with pytest.raises(DiagramError, match="^spur tip is not a leaf$"):
+        dia._fold_boundary()
+
+
+def test_sweep_refuses_a_sphere_that_shares_an_edge_with_the_disk():
+    # twin darts make face adjacency symmetric, so a swept face's twins are
+    # swept too unless edges are missing: here the first square's edges are
+    # deleted, which cuts it off from the outer face while its twins stay out
+    dia = build_diagram([
+        ConjugateFactor((), SQUARE_REL_IDS[0], 1),
+        ConjugateFactor((), SQUARE_REL_IDS[5], 1),
+    ])
+    for d in dia.faces[0]:
+        dia._delete_edge(d)
+    with pytest.raises(DiagramError, match="^sphere shares an edge with the disk$"):
+        dia._sweep_spheres()
+
+
+def test_unfolded_boundary_does_not_spell_the_reduced_expression(monkeypatch):
+    # a factor times its mirror folds to a point; left unfolded, the wedge of
+    # two lollipops is a valid diagram whose boundary is the unreduced word
+    factor = ConjugateFactor((6,), SQUARE_REL_IDS[0], 1)
+    assert build_diagram([factor, factor._replace(sign=-1)]).boundary == []
+    monkeypatch.setattr(Diagram, "_fold_boundary", lambda self: None)
+    with pytest.raises(DiagramError, match="^boundary does not spell the reduced expression$"):
+        build_diagram([factor, factor._replace(sign=-1)])
+
+
 def test_bad_factors_rejected():
     with pytest.raises(DiagramError):
         build_diagram([ConjugateFactor((), 99, 1)])

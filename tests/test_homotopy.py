@@ -207,7 +207,10 @@ def test_verify_rejects_malformed_certificates():
         assert not replay_certificate(bad)[0]
 
     # so does a start that is not a vertex made of three strings
-    for start in (None, ("", "", ""), SElement(1, 2, 3), SElement(["a"], "", "")):
+    # (tuple.__new__ makes an SElement of another length, as the package's
+    # own constructor of already-reduced vertices does)
+    for start in (None, ("", "", ""), SElement(1, 2, 3), SElement(["a"], "", ""),
+                  SElement("", "", 3), SElement("", b"", ""), tuple.__new__(SElement, ("", ""))):
         res = verify_certificate(Certificate("gamma_1", start, (), (), ()))
         assert (res.ok, res.reason, res.moves_checked) == (
             False, "start is not a vertex of gamma_1", 0)
@@ -262,6 +265,17 @@ def test_every_swept_vertex_is_guarded():
     swept = verify_certificate(cert).swept
     for v in swept:
         assert not verify_certificate(cert, forbidden={v}).ok
+
+
+def test_inserted_vertex_is_swept_and_guarded():
+    # (a) with the backtrack c C inserted at its end: the move creates ac
+    cert = Certificate("gamma_1", S_IDENTITY, parse_gens("a"), (("ins", 1, 3),),
+                       parse_gens("acC"))
+    res = verify_certificate(cert)
+    assert res.ok and res.swept == {S_IDENTITY, s_from_word("a"), s_from_word("ac")}
+    res = verify_certificate(cert, forbidden={s_from_word("ac")})
+    assert (res.ok, res.reason, res.moves_checked) == (
+        False, "move 0 sweeps into forbidden region", 0)
 
 
 def test_commute_block_grid():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -100,6 +101,8 @@ def test_frozen_small_rewrites():
     assert report.certificate.result == (
         1, -4, 4, -2, 3, -2, 2, -4, 2, -4, 4, -1, 4, -2, 2, -3,
     )
+    # DDdDdb meets case 3 twice, and each is counted
+    assert rewrite_to_kernel_path(s_from_word("ac"), (-4, -4, 4, -4, 4, 2)).cases == {"3": 2}
 
 
 def test_short_circuit_leaves_kernel_paths_alone():
@@ -186,6 +189,18 @@ def test_zero_sum_word_counts():
 def test_suite_word_count_matches_the_walk():
     for n in range(7):
         assert run_rewrite_suite((), max_len=n)["words"] == len(zero_sum_words(n))
+
+
+def test_suite_cases_are_the_sum_of_its_rewrites_cases():
+    base = transversal_bases()[7]
+    total = Counter()
+    for word in zero_sum_words(4):
+        cases = rewrite_to_kernel_path(base, word).cases
+        assert type(cases) is dict
+        total.update(cases)
+    # every case fires, each more than once
+    assert sorted(total) == ["1", "2", "3", "4.1", "4.2", "4.3"]
+    assert run_rewrite_suite((base,), max_len=4)["cases"] == dict(sorted(total.items()))
 
 
 def test_zero_sum_words_order_is_pinned():
