@@ -10,16 +10,18 @@ the relevant projection, and every interleaving pairs such an inserted
 block with at most one block of the original path.
 
 The case analysis works on the first two syllables (maximal same-factor,
-same-sign runs) of the unprocessed remainder.  With F the first syllable's
-factor and s its sign, the second syllable falls into one of:
+same-sign runs) of the unprocessed remainder.  Every case is made of one
+move, pair(k, present, G): the k letters at the front are paired with the k
+after them, of which `present` are on the path and the rest are inserted as
+an away-moving round trip of one letter of factor G.  With F the first
+syllable's factor, s its sign and k1 its length, every case starts with
+pair(k1, 0, F'), F' the other factor; the second syllable (length k2) is:
 
-    1    opposite factor, same sign: partner the first syllable and merge
-    2    same factor, opposite sign, at least as long: partner and pair off
-    3    same factor, opposite sign, shorter: extend it away, then as 2
-    4    opposite factor, opposite sign: partner, cancel the seam, and
-         bridge the leftovers through a partner in the other factor;
-         4.1 a leftover is empty, 4.2 the path side is at least as long
-         as the inserted side, 4.3 it is shorter and gets extended
+    1    of F', sign s: it merges with the inverted partner
+    2, 3 of F, sign -s, k2 >= k1 (2) or shorter (3): pair(k1, k2, F)
+    4    of F', sign -s: cancel the seam, leaving k_left and k_right letters;
+         4.1 one side is empty; 4.2 k_right >= k_left, 4.3 it is shorter:
+         pair(k_left, 0, F), then pair(k_left, k_right, F')
 
 Each case removes at least one syllable from the remainder, so the
 rewriting terminates.  A remainder that is already in paired form is left
@@ -118,13 +120,18 @@ class Rewriter:
         self.fallback = False
         self.trace: list[int] = []
 
-    def _insert_partner(
-        self, pos: int, length: int, factor: tuple[int, ...], sign: int
-    ) -> None:
-        """Insert an away-moving round trip of `length` copies of one letter."""
-        gen, fellback = _away_letter(self.ed.vertex(pos), factor, sign)
-        self.fallback |= fellback
-        self.ed.insert_round_trip(pos, (gen,) * length)
+    def _pair(self, pos: int, k: int, present: int, factor: tuple[int, ...], sign: int) -> int:
+        """Pair the k letters at pos with the k after them; returns pos + 2k.
+        Of those, the k - present missing ones are first inserted at pos + k +
+        present as an away-moving round trip of one letter of factor and sign."""
+        ed = self.ed
+        if present < k:
+            at = pos + k + present
+            gen, fellback = _away_letter(ed.vertex(at), factor, sign)
+            self.fallback |= fellback
+            ed.insert_round_trip(at, (gen,) * (k - present))
+        interleave_blocks(ed, pos, k)
+        return pos + 2 * k
 
     def run(self) -> Certificate:
         """Rewrite the whole path into kernel-pair form; returns its certificate."""
@@ -145,22 +152,13 @@ class Rewriter:
             factor, sign, k1 = syllables[0]
             factor2, sign2, k2 = syllables[1]
             other = CD_GENS if factor is AB_GENS else AB_GENS
-            # partner the first syllable and interleave it away
-            self._insert_partner(pos + k1, k1, other, -sign)
-            interleave_blocks(ed, pos, k1)
-            pos += 2 * k1
-            # the inverted partner block, k1 letters of `other` with sign,
-            # now sits at pos, in front of the second syllable
+            # leaves the inverted partner, k1 letters of `other` with sign, at pos
+            pos = self._pair(pos, k1, 0, other, -sign)
             if factor2 is other and sign2 == sign:
                 case = "1"  # merges with the partner block
             elif factor2 is factor:
-                if k2 >= k1:
-                    case = "2"
-                else:
-                    case = "3"
-                    self._insert_partner(pos + k1 + k2, k1 - k2, factor, -sign)
-                interleave_blocks(ed, pos, k1)
-                pos += 2 * k1
+                case = "2" if k2 >= k1 else "3"
+                pos = self._pair(pos, k1, k2, factor, -sign)
             else:
                 # case 4: the second syllable has the partner's factor and sign;
                 # cancel the seam between the inverted partner and the syllable
@@ -169,20 +167,12 @@ class Rewriter:
                     ed.delete_backtrack(pos + k1 - q - 1)
                     q += 1
                 k_left, k_right = k1 - q, k2 - q
-                if k_left == 0 or k_right == 0:
-                    case = "4.1"
+                if k_left and k_right:
+                    case = "4.2" if k_right >= k_left else "4.3"
+                    pos = self._pair(pos, k_left, 0, factor, -sign)
+                    pos = self._pair(pos, k_left, k_right, other, -sign)
                 else:
-                    self._insert_partner(pos + k_left, k_left, factor, -sign)
-                    interleave_blocks(ed, pos, k_left)
-                    pos += 2 * k_left
-                    if k_right >= k_left:
-                        case = "4.2"
-                    else:
-                        case = "4.3"
-                        self._insert_partner(pos + k_left + k_right, k_left - k_right,
-                                             other, -sign)
-                    interleave_blocks(ed, pos, k_left)
-                    pos += 2 * k_left
+                    case = "4.1"
             cases[case] = cases.get(case, 0) + 1
         return ed.certificate()
 

@@ -2,7 +2,9 @@
 reader, the step memo, the diagram sweep, validation and band extraction, the
 searches' neighbour kernel and its rows, the forbidden region, the shell
 merge, the pipeline's guards, composed replay and combing radius, the report
-encoder and its json fallback, and the rewriter's guards.
+encoder and its json fallback, the rewriter's guards, the letter conversion
+and product contraction, the kernel identity report and the verification
+result's truth value and repr.
 
     python tests/mutation_score.py
 
@@ -52,7 +54,14 @@ guards of `extract_bands`, each reached by a tampering of a two-band diagram:
 a square retagged as a triangle, a second band pointed at the first band's
 square, a square with five darts, a flipped side edge, a square left by the
 dart it was entered by, a flipped stable boundary edge and two bands made to
-cross.
+cross.  Six more turn off the last guards that no other test reached: a
+letter pair that is no kernel generator in `convert_letter_pairs`, a loop
+that is not null-homotopic in the product and the move budget in
+`contract_product_loop`, the rewriter's two-syllable check, `random_far_loop`
+giving up and a conjugate that leaves the kernel in `kernel_identity_report`;
+the last four are reached through a monkeypatched helper.  Two rows drop
+`VerificationResult.__bool__` (a five-field tuple is always true) or let its
+repr show `swept`.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ DIAGRAMS = "src/stallings/diagrams.py"
 COMPLEXES = "src/stallings/complexes.py"
 PIPELINE = "src/stallings/pipeline.py"
 REWRITE = "src/stallings/rewrite.py"
+WORDS = "src/stallings/words.py"
 
 T_HOMOTOPY = "tests/test_homotopy.py"
 T_COMPLEXES = "tests/test_complexes.py"
@@ -343,6 +353,38 @@ MUTANTS = [
      'raise CertificateError("the dilated region separates the band endpoints")',
      "pass",
      (f"{T_PIPELINE}::test_band_elimination_without_a_detour_is_refused",)),
+    ("VerificationResult: __bool__ dropped", HOMOTOPY,
+     "    def __bool__(self) -> bool:\n        return self.ok\n",
+     "",
+     (f"{T_HOMOTOPY}::test_verification_result_is_false_when_rejected_and_hides_swept",)),
+    ("VerificationResult: the repr shows swept", HOMOTOPY,
+     'for k, v in zip(self._fields, self) if k != "swept")',
+     "for k, v in zip(self._fields, self))",
+     (f"{T_HOMOTOPY}::test_verification_result_is_false_when_rejected_and_hides_swept",)),
+    ("convert_letter_pairs: the kernel-generator check off", HOMOTOPY,
+     'raise CertificateError(f"letter pair {word!r} is not a kernel generator")',
+     "pass",
+     (f"{T_HOMOTOPY}::test_convert_refuses_a_pair_that_is_not_a_kernel_generator",)),
+    ("contract_product_loop: the null-homotopy check off", HOMOTOPY,
+     'raise CertificateError("loop is not null-homotopic in the product")',
+     "pass",
+     (f"{T_HOMOTOPY}::test_contract_refuses_a_loop_that_is_not_null_homotopic_in_the_product",)),
+    ("contract_product_loop: the move-budget check off", HOMOTOPY,
+     'raise CertificateError("loop contraction exceeded its move budget")',
+     "pass",
+     (f"{T_HOMOTOPY}::test_contract_stops_at_its_move_budget",)),
+    ("rewriter: the two-syllable check off", REWRITE,
+     'raise CertificateError("a zero-sum remainder has at least two syllables")',
+     "pass",
+     ("tests/test_rewrite.py::test_remainder_of_one_syllable_is_refused",)),
+    ("random_far_loop: the give-up error off", PIPELINE,
+     'raise RuntimeError("could not sample a loop clearing the distance floor")',
+     "pass",
+     (f"{T_PIPELINE}::test_random_far_loop_gives_up_after_its_samples",)),
+    ("kernel_identity_report: a conjugate that leaves the kernel not reported", WORDS,
+     'failures.append(f"conjugate {letter}.{word}.{FLIP[letter]} left the kernel")',
+     "pass",
+     ("tests/test_words.py::test_kernel_identity_report_names_each_conjugate_that_leaves_the_kernel",)),
     ("run_main_pipeline: the composed replay ignores the region", PIPELINE,
      "res = verify_certificate(composed, region)",
      "res = verify_certificate(composed)",

@@ -1,8 +1,9 @@
 """End-to-end checks of the command-line interface.
 
-Every test drives `main` in-process and parses what it printed, so the
+Most tests drive `main` in-process and parse what it printed, so the
 exit-code contract (0 iff all verifications pass) is pinned alongside the
-report shapes.
+report shapes; a few run the module in a fresh interpreter (under
+`python -O`, or README's examples through `sh`).
 """
 
 import argparse
@@ -10,6 +11,8 @@ import ast
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -257,16 +260,44 @@ def test_f2p_path_into_forbidden_ball_reports_failure(capsys):
     assert data["min_swept_distance"] is None
 
 
-def run_module(*argv, optimize=True):
-    """Run the CLI in a fresh interpreter, with `python -O` by default."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def module_env() -> dict[str, str]:
+    """The environment with `src/` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     )}
+
+
+def run_module(*argv, optimize=True):
+    """Run the CLI in a fresh interpreter, with `python -O` by default."""
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, "-m", "stallings", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=module_env(), timeout=120,
     )
+
+
+def test_readme_cli_examples_run_in_order(tmp_path):
+    """The block runs line by line in one directory, so a line may read the
+    files that earlier lines write; each exits 0, and every report it prints
+    or writes with --out parses as JSON, or as DOT where DOT is asked for."""
+    blocks = re.findall(r"```sh\n(.*?)```", (SRC.parent / "README.md").read_text(), re.S)
+    lines = next(block.splitlines() for block in blocks if block.startswith("stallings "))
+    assert sum(line.startswith("stallings ") for line in lines) == 16
+    # `stallings` and `python` run this interpreter, with src/ on its path
+    prelude = 'stallings() { "$PYTHON" -m stallings "$@"; }; python() { "$PYTHON" "$@"; }\n'
+    env = {**module_env(), "PYTHON": sys.executable}
+    for line in lines:
+        proc = subprocess.run(["sh", "-c", prelude + line], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), line
+        args = shlex.split(line, comments=True)
+        if args[0] != "stallings":
+            continue
+        report = (tmp_path / args[args.index("--out") + 1]).read_text() if "--out" in args else proc.stdout
+        if "dot" in args or "render" in args:
+            assert re.fullmatch(r"(di)?graph (\w+ )?\{\n.*\n\}\n", report, re.S), line
+        else:
+            json.loads(report)
 
 
 def test_f2p_failure_is_the_same_under_optimize():

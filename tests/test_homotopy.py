@@ -20,6 +20,7 @@ from stallings.homotopy import (
     CertificateError,
     PathEditor,
     RELATOR_FORMS,
+    VerificationResult,
     certificate_from_json,
     certificate_to_json,
     commute_block,
@@ -303,12 +304,36 @@ def test_interleave_blocks():
     assert verify_certificate(cert).ok
 
 
+def test_verification_result_is_false_when_rejected_and_hides_swept():
+    cert = rewrite_to_kernel_path(s_from_word("ac"), (1, 3, -1, -3)).certificate
+    accepted = verify_certificate(cert)
+    rejected = verify_certificate(cert, frozenset({cert.start}))
+    assert accepted and accepted.swept
+    # a five-field tuple is true by its length; the result is true only when ok is
+    assert len(rejected) == 5 and not rejected
+    assert not VerificationResult(False, "any reason", 3, frozenset({cert.start}), cert.start)
+    assert repr(accepted) == (
+        "VerificationResult(ok=True, reason=None, moves_checked=9,"
+        " end=SElement(p_ab='a', cd='c', tail='aa'))"
+    )
+    assert repr(rejected) == (
+        "VerificationResult(ok=False, reason='initial path enters forbidden region',"
+        " moves_checked=0, end=None)"
+    )
+
+
 def test_convert_letter_pairs():
     ed = PathEditor(GAMMA2, S_IDENTITY, parse_gens("aBcCAb"))
     produced = convert_letter_pairs(ed, 0, 3)
     assert produced == 2
     assert ed.labels == (egen_id(1), egen_id(13))
     assert verify_certificate(ed.certificate()).ok
+
+
+def test_convert_refuses_a_pair_that_is_not_a_kernel_generator():
+    ed = PathEditor(X, S_IDENTITY, (1, 1))
+    with pytest.raises(CertificateError, match="letter pair 'aa' is not a kernel generator"):
+        convert_letter_pairs(ed, 0, 1)
 
 
 def test_expand_kernel_generators():
@@ -406,6 +431,30 @@ def test_contract_rejects_open_paths():
     ed = PathEditor(GAMMA1, S_IDENTITY, parse_gens("ac"))
     with pytest.raises(CertificateError, match="segment is not a closed loop"):
         contract_product_loop(ed, 0, 2)
+
+
+def test_contract_refuses_a_loop_that_is_not_null_homotopic_in_the_product():
+    # s e1 S E1 closes in S, but the stable letter lies in neither factor
+    ed = PathEditor(X, S_IDENTITY, (5, 6, -5, -6))
+    assert ed.vertex(4) == S_IDENTITY
+    with pytest.raises(CertificateError, match="loop is not null-homotopic in the product"):
+        contract_product_loop(ed, 0, 4)
+
+
+def test_contract_stops_at_its_move_budget(monkeypatch):
+    calls = []
+
+    def stuck(editor, pos):
+        # a swap that changes nothing; without the budget the loop runs on
+        calls.append(pos)
+        if len(calls) > 100:
+            raise RuntimeError("the move budget did not stop the loop")
+
+    monkeypatch.setattr(homotopy, "swap_adjacent", stuck)
+    ed = PathEditor(GAMMA1, S_IDENTITY, parse_gens("caCA"))
+    with pytest.raises(CertificateError, match="loop contraction exceeded its move budget"):
+        contract_product_loop(ed, 0, 4)
+    assert len(calls) == 4**2 + 1
 
 
 def test_contract_kernel_generator_loop():

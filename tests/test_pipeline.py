@@ -7,6 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from oracles import replay_certificate
+from stallings import pipeline
 from stallings.complexes import (
     SQUARE_REL_IDS,
     ForbiddenRegion,
@@ -557,6 +558,14 @@ def test_random_far_loop_properties():
             low = min(low, distance_to_identity(v))
         assert v == base
         assert low >= 3
+
+
+def test_random_far_loop_gives_up_after_its_samples(monkeypatch):
+    # no min_distance from 3 to 30 runs out over 50 seeds, so every vertex is
+    # made to read as the identity
+    monkeypatch.setattr(pipeline, "distance_to_identity", lambda v: 0)
+    with pytest.raises(RuntimeError, match="could not sample a loop clearing the distance floor"):
+        random_far_loop(random.Random(0))
 
 
 def test_pipeline_batch_merges_by_index():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -15,7 +16,7 @@ from stallings.elements import (
     scan,
     walk,
 )
-from stallings.homotopy import CertificateError, verify_certificate
+from stallings.homotopy import CertificateError, certificate_to_json, verify_certificate
 from stallings.rewrite import (
     is_kernel_form,
     rewrite_to_kernel_path,
@@ -203,6 +204,18 @@ def test_suite_cases_are_the_sum_of_its_rewrites_cases():
     assert run_rewrite_suite((base,), max_len=4)["cases"] == dict(sorted(total.items()))
 
 
+def test_certificate_stream_is_pinned():
+    """Every move of every certificate, not only the case counts: the 1,569
+    zero-sum words of length <= 4 at basepoint 7, against the radius-2 ball."""
+    base = transversal_bases()[7]
+    region = ForbiddenRegion(GAMMA_1, (S_IDENTITY,), 2)
+    digest = hashlib.sha256()
+    for word in zero_sum_words(4):
+        cert = rewrite_to_kernel_path(base, word, forbidden=region).certificate
+        digest.update(json.dumps(certificate_to_json(cert), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "12d9a6bc31b2c7c3689c73b6d0b2e28a50feeed5a8fd84132e364b9cba987c3e"
+
+
 def test_zero_sum_words_order_is_pinned():
     """Criterion 8's corpus and the mutation fuzz sample from this sequence."""
     digest = hashlib.sha256(repr(list(zero_sum_words(6))).encode()).hexdigest()
@@ -286,6 +299,15 @@ def test_rewrite_whose_syllable_count_stalls_is_refused(monkeypatch):
     monkeypatch.setattr(rewrite, "split_syllables", padded)
     with pytest.raises(CertificateError, match="the syllable count did not decrease"):
         rewrite_to_kernel_path(base, word)
+
+
+def test_remainder_of_one_syllable_is_refused(monkeypatch):
+    """A zero-sum remainder that is not in kernel form has both signs, so only
+    a broken syllable split reaches this guard."""
+    split = rewrite.split_syllables
+    monkeypatch.setattr(rewrite, "split_syllables", lambda labels: split(labels)[:1])
+    with pytest.raises(CertificateError, match="a zero-sum remainder has at least two syllables"):
+        rewrite_to_kernel_path(s_from_word("ac"), (1, 3, -1, -3))
 
 
 def test_transversal_bases_cover_all_splits():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stallings import words
 from stallings.complexes import get_complex
 from stallings.words import (
     AB_GENS,
@@ -172,6 +173,17 @@ def test_kernel_identity_report():
     report = kernel_identity_report()
     assert report["ok"], report["failures"]
     assert report["conjugate_checks"] == 24 * 8
+
+
+def test_kernel_identity_report_names_each_conjugate_that_leaves_the_kernel(monkeypatch):
+    monkeypatch.setattr(words, "in_kernel", lambda g: False)
+    report = kernel_identity_report()
+    assert not report["ok"]
+    assert len(report["failures"]) == report["conjugate_checks"] == 24 * 8
+    assert report["failures"][:2] == [
+        "conjugate a.aB.A left the kernel",
+        "conjugate b.aB.B left the kernel",
+    ]
 
 
 def test_identity_failures_compare_the_products_of_the_sides():
